@@ -135,6 +135,8 @@ def cmd_multiply(args):
     if len(words) != 2:
         raise UsageError("--words takes exactly two comma-separated words")
     u, v = (word_to_element(R, w.strip()) for w in words)
+    if u not in F.index or v not in F.index:  # before the cache lookup
+        raise UsageError(f"{F.label}: factors must be basis classes")
     if args.cache_dir:
         store = JsonlStore(args.cache_dir)
         table = store.load_structure_constants(R.kind, R.rank, args.parabolic)
@@ -194,7 +196,10 @@ def _parse_weights(R, n, text):
         raise UsageError(f"expected {n} weights, got {len(chunks)}")
     out = []
     for chunk in chunks:
-        coords = tuple(Fraction(t.strip()) for t in chunk.split(","))
+        try:
+            coords = tuple(Fraction(t.strip()) for t in chunk.split(","))
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"weight {chunk!r} is not a list of rationals") from None
         if len(coords) != R.rank:
             raise UsageError(f"weight {chunk!r} has {len(coords)} coordinates, "
                              f"rank is {R.rank}")
@@ -204,8 +209,8 @@ def _parse_weights(R, n, text):
 
 def cmd_membership(args):
     R = _parse_group(args.group, args.rank)
-    S = generate_inequalities(R, args.n, args.tier, tuple_cap=args.tuple_cap)
     lams = _parse_weights(R, args.n, args.weights)
+    S = generate_inequalities(R, args.n, args.tier, tuple_cap=args.tuple_cap)
     member, violated = membership(lams, S)
     verdict = "in-cone" if member else "not-in-cone"
     payload = _report(
@@ -306,6 +311,8 @@ def cmd_tables(args):
         _emit(payload, args.format, csv_rows, lines)
         return 0
     if args.which == "index":
+        if args.parabolic is None:
+            raise UsageError("tables index needs --parabolic")
         R = _parse_group(args.group, args.rank)
         F = flag_variety(R, args.parabolic)
         rows = index_dictionary_rows(F)

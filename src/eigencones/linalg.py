@@ -1,30 +1,21 @@
 """Tiny exact linear algebra over Fraction.
 
-Only what the root-system and Weyl machinery needs: matrix products,
-inverses and linear solves for matrices of rank <= 8.  Everything is
-tuples of Fractions; no floats.
+Only what the root-system and Weyl machinery needs: vector arithmetic,
+inverses of matrices of rank <= 8, and clearing denominators so that the
+Weyl kernel works on ints.  Everything is tuples of Fractions or ints; no
+floats.
 """
 
 from fractions import Fraction
-
-Vec = tuple
-Mat = tuple
+from math import lcm
 
 
 def vec(entries):
     return tuple(Fraction(x) for x in entries)
 
 
-def mat(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def vadd(a, b):
     return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def vscale(c, a):
@@ -38,11 +29,6 @@ def dot(a, b):
 
 def mat_vec(m, v):
     return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def identity_mat(n):
@@ -68,9 +54,9 @@ def mat_inv(m):
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def solve(m, rhs):
-    return mat_vec(mat_inv(m), rhs)
-
-
-def transpose(m):
-    return tuple(zip(*m))
+def integer_multiple(rows):
+    """(d, d * rows) for the least positive d making every entry an int."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, tuple(
+        tuple(x.numerator * (d // x.denominator) for x in row) for row in rows
+    )

@@ -82,7 +82,9 @@ def _validate_kind_rank(kind, rank):
         raise ConfigurationError("rank must be positive")
 
 
-@dataclass(frozen=True)
+# equality and hashing by identity: build_root_system is cached, and every
+# lru_cache keyed on a root system would otherwise hash all its Fractions
+@dataclass(frozen=True, eq=False)
 class RootSystem:
     kind: str
     rank: int
@@ -96,7 +98,6 @@ class RootSystem:
     rho: tuple
     dual_basis: tuple              # x_i, Killing-identified, epsilon coords
     _alpha_solve: tuple = field(repr=False)   # maps epsilon -> simple-root coords
-    _cartan_inv: tuple = field(repr=False)
 
     # -- pairings ---------------------------------------------------------
 
@@ -147,9 +148,6 @@ class RootSystem:
     def weight(self, coords):
         return Weight(self, tuple(Fraction(c) for c in coords))
 
-    def zero_weight(self):
-        return self.weight([0] * self.rank)
-
     @property
     def label(self):
         return f"{self.kind}{self.rank}" if self.kind in "ABCD" else self.kind
@@ -172,9 +170,6 @@ class Weight:
 
     def is_dominant(self):
         return all(c >= 0 for c in self.coords)
-
-    def is_integral(self):
-        return all(Fraction(c).denominator == 1 for c in self.coords)
 
     def __add__(self, other):
         if other.root_system is not self.root_system:
@@ -289,7 +284,6 @@ def build_root_system(kind, rank):
         rho=rho,
         dual_basis=dual_basis,
         _alpha_solve=alpha_solve,
-        _cartan_inv=cartan_inv,
     )
     _check_root_system(R)
     return R

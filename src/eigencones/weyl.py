@@ -4,16 +4,27 @@ An element is identified by its integer action matrix on the weight lattice
 in fundamental-weight coordinates; reduced words are witnesses recovered by
 descent stripping (smallest index first), so the digit strings we print are
 canonical but element comparison never goes through words.
+
+Element operations work on Python ints.  A root is positive exactly when
+its height is, so one int row per element (a positive multiple of the
+height functional pulled back through the matrix, applied to a root's
+fundamental-weight coordinates) decides sends_positive, the descents of the
+canonical word and the length, which is computed only when read.  The
+inverse is K^-1 w^T K for the fundamental-weight Gram matrix K, whose
+inverse is the simple-coroot Gram matrix; both are cleared to ints once per
+root system.  apply_eps clears the vector's denominators and divides once
+per coordinate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-from .errors import ConfigurationError, ResourceCapError, UsageError
-from .linalg import mat_inv
-from .rootsys import RootSystem, Weight, build_root_system
+from .errors import ConfigurationError, ResourceCapError, UsageError, VerificationError
+from .linalg import dot, integer_multiple
+from .rootsys import Weight
 
 WEYL_SIZE_CAP = 1_200_000
 
@@ -21,14 +32,22 @@ WEYL_SIZE_CAP = 1_200_000
 class WeylElement:
     """Immutable Weyl group element; identity = the integer action matrix."""
 
-    __slots__ = ("root_system", "matrix", "length", "_word", "_hash")
+    __slots__ = ("root_system", "matrix", "_length", "_heights", "_word", "_hash")
 
     def __init__(self, root_system, matrix, length=None):
         self.root_system = root_system
         self.matrix = matrix
-        self.length = _length(root_system, matrix) if length is None else length
+        self._length = length
+        self._heights = None
         self._word = None
-        self._hash = hash((root_system.kind, root_system.rank, matrix))
+        self._hash = hash(matrix)
+
+    @property
+    def length(self):
+        if self._length is None:
+            h = self._height_row()
+            self._length = sum(not _is_positive(h, b) for b in _ctx(self.root_system).pos_fw)
+        return self._length
 
     @property
     def word(self):
@@ -39,7 +58,7 @@ class WeylElement:
     def __eq__(self, other):
         return (
             isinstance(other, WeylElement)
-            and self.root_system.label == other.root_system.label
+            and self.root_system is other.root_system
             and self.matrix == other.matrix
         )
 
@@ -47,35 +66,39 @@ class WeylElement:
         return self._hash
 
     def __mul__(self, other):
-        if other.root_system.label != self.root_system.label:
+        if other.root_system is not self.root_system:
             raise UsageError("elements of different Weyl groups")
         return WeylElement(self.root_system, _mat_mul_int(self.matrix, other.matrix))
 
     def inverse(self):
-        m = tuple(
-            tuple(int(x) for x in row)
-            for row in mat_inv(tuple(tuple(Fraction(x) for x in r) for r in self.matrix))
-        )
-        return WeylElement(self.root_system, m, self.length)
+        ctx = _ctx(self.root_system)
+        m = _mat_mul_int(ctx.coroot_gram, tuple(zip(*self.matrix)))
+        m = _mat_mul_int(m, ctx.weight_gram)
+        m = tuple(tuple(x // ctx.gram_scale for x in row) for row in m)
+        return WeylElement(self.root_system, m, self._length)
 
     def apply_fw(self, coords):
-        return tuple(
-            sum(row[k] * coords[k] for k in range(len(coords))) for row in self.matrix
-        )
+        return tuple(sum(map(mul, row, coords)) for row in self.matrix)
 
     def apply(self, w: Weight) -> Weight:
         return Weight(self.root_system, self.apply_fw(w.coords))
 
     def apply_eps(self, v):
         """Action on an ambient vector lying in the root span."""
-        R = self.root_system
-        return R.from_fw(self.apply_fw(R.fw_coords(v)))
+        ctx = _ctx(self.root_system)
+        d, (v_int,) = integer_multiple([v])
+        fw = self.apply_fw([sum(map(mul, row, v_int)) for row in ctx.coroots])
+        den = d * ctx.eps_scale
+        return tuple(Fraction(sum(map(mul, row, fw)), den) for row in ctx.weights)
 
     def sends_positive(self, i):
         """True iff w(alpha_i) is a positive root (1-based i)."""
-        ctx = _ctx(self.root_system)
-        img = self.apply_fw(ctx.simple_fw[i - 1])
-        return _fw_is_positive(ctx, img)
+        return _is_positive(self._height_row(), self.root_system.cartan_matrix[i - 1])
+
+    def _height_row(self):
+        if self._heights is None:
+            self._heights = _height_row(_ctx(self.root_system), self.matrix)
+        return self._heights
 
     def __repr__(self):
         return f"WeylElement({self.root_system.label}, {word_str(self)})"
@@ -87,14 +110,26 @@ class _Context:
     def __init__(self, R):
         r = R.rank
         C = R.cartan_matrix
-        self.simple_fw = tuple(
-            tuple(C[i][j] for j in range(r)) for i in range(r)
-        )  # alpha_i over the fundamental weights
         self.refl = tuple(_simple_matrix(C, i) for i in range(r))
-        self.pos_fw = tuple(R.fw_coords(b) for b in R.positive_roots)
-        self.fw_to_alpha = mat_inv(
-            tuple(tuple(Fraction(C[i][j]) for i in range(r)) for j in range(r))
-        )  # transpose-inverse of the Cartan matrix
+        self.pos_fw = tuple(
+            tuple(int(x) for x in R.fw_coords(b)) for b in R.positive_roots
+        )
+        _, (self.height,) = integer_multiple(
+            [[sum(R.alpha_coords(w)) for w in R.fundamental_weights]]
+        )  # a positive multiple of the height, over fw coordinates
+        coroots = [tuple(2 * x / dot(a, a) for x in a) for a in R.simple_roots]
+        d1, self.coroot_gram = integer_multiple(
+            [[dot(a, b) for b in coroots] for a in coroots]
+        )
+        d2, self.weight_gram = integer_multiple(
+            [[dot(u, v) for v in R.fundamental_weights] for u in R.fundamental_weights]
+        )
+        self.gram_scale = d1 * d2
+        # epsilon -> fw coordinates pairs with the coroots; fw -> epsilon
+        # sums the fundamental weights, held here as columns
+        d3, self.coroots = integer_multiple(coroots)
+        d4, self.weights = integer_multiple(tuple(zip(*R.fundamental_weights)))
+        self.eps_scale = d3 * d4
         self.id_matrix = tuple(
             tuple(1 if i == j else 0 for j in range(r)) for i in range(r)
         )
@@ -115,27 +150,19 @@ def _ctx(R):
 
 def _mat_mul_int(a, b):
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
-def _fw_is_positive(ctx, fw):
-    for row in ctx.fw_to_alpha:
-        c = sum(r * f for r, f in zip(row, fw))
-        if c != 0:
-            return c > 0
-    raise UsageError("zero vector has no sign")
+def _height_row(ctx, matrix):
+    return tuple(sum(map(mul, ctx.height, col)) for col in zip(*matrix))
 
 
-def _length(R, matrix):
-    ctx = _ctx(R)
-    n = 0
-    for fw in ctx.pos_fw:
-        img = tuple(sum(row[k] * fw[k] for k in range(len(fw))) for row in matrix)
-        if not _fw_is_positive(ctx, img):
-            n += 1
-    return n
+def _is_positive(heights, root_fw):
+    """w(beta) > 0, from the height row of w; beta by its fw coordinates."""
+    h = sum(map(mul, heights, root_fw))
+    if h == 0:
+        raise VerificationError("zero vector has no sign")
+    return h > 0
 
 
 def _canonical_word(R, matrix):
@@ -144,16 +171,14 @@ def _canonical_word(R, matrix):
     word = []
     m = matrix
     while m != ctx.id_matrix:
+        heights = _height_row(ctx, m)
         for i in range(R.rank):
-            img = tuple(
-                sum(row[k] * ctx.simple_fw[i][k] for k in range(R.rank)) for row in m
-            )
-            if not _fw_is_positive(ctx, img):
+            if not _is_positive(heights, R.cartan_matrix[i]):
                 word.append(i + 1)
                 m = _mat_mul_int(m, ctx.refl[i])
                 break
         else:
-            raise UsageError("matrix is not a Weyl group element")
+            raise VerificationError("matrix is not a Weyl group element")
     return tuple(reversed(word))
 
 
@@ -194,6 +219,8 @@ def word_to_element(R, word):
     if isinstance(word, str):
         if word in ("", "e"):
             return identity(R)
+        if not word.isdigit():
+            raise UsageError(f"word {word!r} is not a digit string")
         word = [int(ch) for ch in word]
     w = identity(R)
     for i in word:
@@ -201,9 +228,13 @@ def word_to_element(R, word):
     return w
 
 
-def word_str(w):
-    if w.root_system.rank > 9:
+def _check_digit_words(R):
+    if R.rank > 9:
         raise UsageError("digit-string words are defined for rank <= 9")
+
+
+def word_str(w):
+    _check_digit_words(w.root_system)
     return "".join(str(i) for i in w.word) if w.word else "e"
 
 
@@ -353,7 +384,7 @@ def embed_element(E, w, minimize_into=None):
     representative of its W_P coset — that is the map the coset tables use;
     for folded embeddings the raw image need not itself be minimal.
     """
-    if w.root_system.label != E.sub.label:
+    if w.root_system is not E.sub:
         raise UsageError("element is not over the sub root system")
     gens = _generator_images(E)
     img = identity(E.ambient)
@@ -372,23 +403,9 @@ def check_embedding_homomorphism(E, elements=None):
     for a in elements:
         for b in elements:
             if embed_element(E, a) * embed_element(E, b) != embed_element(E, a * b):
-                raise UsageError(
+                raise VerificationError(
                     f"{E.case}: embedding is not a homomorphism at {word_str(a)},{word_str(b)}"
                 )
-    return True
-
-
-def check_embedding_restriction(E, w):
-    """The image acts on the sub weight space the way w does."""
-    for i, beta in enumerate(E.simple_images):
-        img = embed_element(E, w)
-        lhs = tuple(
-            E.ambient.coroot_pairing(img.apply_eps(beta), b2) for b2 in E.simple_images
-        )
-        a = w.apply_fw(E.sub.fw_coords(E.sub.simple_roots[i]))
-        rhs = tuple(Fraction(x) for x in a)
-        if tuple(lhs) != rhs:
-            return False
     return True
 
 
@@ -419,17 +436,9 @@ def verify_dual_commutes(E, q):
 
 def coset_table(R, P):
     """W^P with the dual involution, in the layout of the paper's tables."""
+    _check_digit_words(R)  # before the coset BFS, not after it
     reps = minimal_coset_reps(R, P)
     return [
         {"word": word_str(w), "length": w.length, "dual": word_str(dual_rep(w, P))}
         for w in reps
     ]
-
-
-def coset_table_json(R, P):
-    return {
-        "schema_version": 1,
-        "group": {"kind": R.kind, "rank": R.rank},
-        "parabolic": P.excluded,
-        "cosets": coset_table(R, P),
-    }

@@ -119,6 +119,30 @@ def test_membership_semicolon_weights(capsys):
     assert json.loads(out)["config"]["weights"] == "1,0;0,1;1,1"
 
 
+@pytest.mark.parametrize("argv", [
+    ("membership", "--group", "C2", "--weights", "1/0,0;1,0;0,1"),
+    ("membership", "--group", "C2", "--weights", "a,0;1,0;0,1"),
+    ("tables", "index", "--group", "C4"),
+    ("multiply", "--group", "C3", "--parabolic", "2", "--words", "1,2",
+     "--cache-dir", "{tmp}"),
+    ("multiply", "--group", "C3", "--parabolic", "2", "--words", "1x,2"),
+])
+def test_bad_arguments_exit_2_with_one_line(argv, tmp_path, capsys):
+    code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cosets_rank_checked_before_the_bfs(monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("coset BFS started")
+
+    monkeypatch.setattr("eigencones.weyl.minimal_coset_reps", fail)
+    code, _, err = run(capsys, "cosets", "--group", "A12", "--parabolic", "1")
+    assert code == 2 and "rank <= 9" in err
+
+
 def test_membership_bad_weights(capsys):
     code, _, err = run(capsys, "membership", "--group", "C2", "--n", "3",
                        "--weights", "1,0,0,1")

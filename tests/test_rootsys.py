@@ -238,6 +238,13 @@ def test_embedding_images_are_roots():
                 assert E.ambient.is_positive_root(beta)
 
 
+def test_root_systems_are_shared_objects():
+    # WeylElement and the lru_caches compare root systems by identity
+    R = build_root_system("C", 4)
+    assert build_root_system("C", 4) is R
+    assert build_embedding("c-in-c", r=4, s=3).ambient is R
+
+
 def test_embedding_bad_params():
     with pytest.raises(ConfigurationError):
         build_embedding("c-in-c", r=3, s=3)

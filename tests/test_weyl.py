@@ -1,13 +1,16 @@
 """Weyl group generation, coset representatives, duals, and embeddings."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigencones.errors import ResourceCapError, UsageError
+from eigencones.errors import ResourceCapError, UsageError, VerificationError
 from eigencones.rootsys import build_embedding, build_root_system
 from eigencones.weyl import (
     ParabolicSpec,
+    _canonical_word,
     check_embedding_homomorphism,
     coset_table,
     dual_rep,
@@ -82,6 +85,41 @@ def test_length_counts_inversions():
             if not R.is_positive_root(w.apply_eps(beta))
         )
         assert inversions == w.length
+
+
+def _reference_length(w):
+    # Fraction route from the action matrix alone: w(beta) is negative when
+    # its simple-root coordinates are
+    R = w.root_system
+    return sum(
+        1 for beta in R.positive_roots
+        if any(c < 0 for c in R.alpha_coords(R.from_fw(w.apply_fw(R.fw_coords(beta)))))
+    )
+
+
+@pytest.mark.parametrize("kind,rank,p", [("G2", 2, None), ("B", 3, None), ("F4", 4, 1)])
+def test_integer_kernel_matches_fraction_reference(kind, rank, p):
+    R = build_root_system(kind, rank)
+    if p is None:
+        elements = generate_weyl_group(R)
+    else:
+        elements = minimal_coset_reps(R, ParabolicSpec(R, p))
+    probes = [R.rho, R.highest_root, *R.simple_roots, *R.fundamental_weights,
+              tuple(Fraction(i + 1, 3) for i in range(R.ambient_dim))]
+    probes = [R.from_fw(R.fw_coords(v)) for v in probes]  # into the root span
+    for w in elements:
+        fresh = word_to_element(R, w.word)  # length not handed down by the BFS
+        assert fresh.length == w.length == _reference_length(w)
+        assert w * w.inverse() == identity(R)
+        assert w.inverse() * w == identity(R)
+        for v in probes:
+            assert w.apply_eps(v) == R.from_fw(w.apply_fw(R.fw_coords(v)))
+
+
+def test_canonical_word_rejects_a_non_weyl_matrix():
+    R = build_root_system("C", 2)
+    with pytest.raises(VerificationError):
+        _canonical_word(R, ((2, 0), (0, 1)))
 
 
 def test_word_str_digit_format():
