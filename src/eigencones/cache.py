@@ -1,13 +1,15 @@
-"""JSON-lines cache for structure constants and character tables.
+"""JSON-lines cache for structure constants.
 
 One file per keyed object, one record per line.  Records carry the cache
-version; stale-version lines are rejected at load time, so deleting a
-cache directory can never change a result, only a runtime.
+version; stale-version, torn or malformed lines make the whole file a miss,
+and files are replaced atomically, so deleting or damaging a cache
+directory can never change a result, only a runtime.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 CACHE_VERSION = 1
@@ -20,37 +22,33 @@ class JsonlStore:
     def __init__(self, directory):
         self.directory = Path(directory)
 
-    def _path(self, name):
+    def _path(self, kind, rank, excluded):
+        name = f"schubert-{kind}{rank}-P{excluded}-{BASIS_TAG}"
         return self.directory / f"{name}.jsonl"
 
-    @staticmethod
-    def _schubert_name(kind, rank, excluded):
-        return f"schubert-{kind}{rank}-P{excluded}-{BASIS_TAG}"
-
-    @staticmethod
-    def _character_name(kind, rank, coords):
-        return f"character-{kind}{rank}-" + "-".join(str(c) for c in coords)
-
     def load_structure_constants(self, kind, rank, excluded):
-        """(u word, v word) -> {w word: int}, or None when absent/stale."""
-        path = self._path(self._schubert_name(kind, rank, excluded))
+        """(u word, v word) -> {w word: int}, or None when absent/stale/torn."""
+        path = self._path(kind, rank, excluded)
         if not path.exists():
             return None
         table = {}
         for line in path.read_text().splitlines():
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            if rec.get("cache_version") != CACHE_VERSION:
+            try:
+                rec = json.loads(line)
+                if rec.get("cache_version") != CACHE_VERSION:
+                    return None
+                table[(rec["u"], rec["v"])] = {
+                    w: int(c) for w, c in rec["coeffs"].items()
+                }
+            except (ValueError, KeyError, TypeError, AttributeError):
                 return None
-            table[(rec["u"], rec["v"])] = {
-                w: int(c) for w, c in rec["coeffs"].items()
-            }
         return table
 
     def save_structure_constants(self, kind, rank, excluded, table):
         self.directory.mkdir(parents=True, exist_ok=True)
-        path = self._path(self._schubert_name(kind, rank, excluded))
+        path = self._path(kind, rank, excluded)
         lines = []
         for (u, v) in sorted(table):
             lines.append(json.dumps(
@@ -62,35 +60,10 @@ class JsonlStore:
                 },
                 sort_keys=True,
             ))
-        path.write_text("\n".join(lines) + "\n")
-
-    def load_character_table(self, kind, rank, coords):
-        """Dominant eps vector (as fraction strings) -> multiplicity."""
-        path = self._path(self._character_name(kind, rank, coords))
-        if not path.exists():
-            return None
-        out = {}
-        for line in path.read_text().splitlines():
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if rec.get("cache_version") != CACHE_VERSION:
-                return None
-            out[tuple(rec["weight"])] = int(rec["multiplicity"])
-        return out
-
-    def save_character_table(self, kind, rank, coords, mult_by_eps_strings):
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self._path(self._character_name(kind, rank, coords))
-        lines = [
-            json.dumps(
-                {
-                    "cache_version": CACHE_VERSION,
-                    "weight": list(weight),
-                    "multiplicity": m,
-                },
-                sort_keys=True,
-            )
-            for weight, m in sorted(mult_by_eps_strings.items())
-        ]
-        path.write_text("\n".join(lines) + "\n")
+        # a reader never sees a half-written file
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text("\n".join(lines) + "\n")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)

@@ -140,10 +140,11 @@ def cmd_multiply(args):
     if args.cache_dir:
         store = JsonlStore(args.cache_dir)
         table = store.load_structure_constants(R.kind, R.rank, args.parabolic)
-        if table is None:
+        key = (word_str(u), word_str(v))
+        if table is None or key not in table:  # absent, stale or partial
             table = structure_constants(F)
             store.save_structure_constants(R.kind, R.rank, args.parabolic, table)
-        coeffs = table[(word_str(u), word_str(v))]
+        coeffs = table[key]
     else:
         prod = F.cup_product(u, v)
         coeffs = {word_str(w): int(c) for w, c in prod.coeffs.items()}

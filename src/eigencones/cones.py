@@ -10,12 +10,15 @@ concatenated normals.
 
 from __future__ import annotations
 
+import itertools
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul, or_
 
-from .errors import ConfigurationError, UsageError, VerificationError
+from .errors import ConfigurationError, ResourceCapError, UsageError, VerificationError
 from .rootsys import RootSystem, Weight, build_embedding, build_root_system
 from .schubert import flag_variety, point_product_tuples
 from .weyl import (
@@ -28,6 +31,8 @@ from .weyl import (
 
 SCHEMA_VERSION = 1
 TIERS = ("nonzero", "point", "levi")
+GRID_TOP = 3          # verify_projection scans fw coordinates 0..GRID_TOP
+GRID_CAP = 1 << 24    # cells of the verify_projection grid
 
 
 @dataclass(frozen=True)
@@ -63,9 +68,6 @@ class Inequality:
             total += sum(a * b for a, b in zip(slot, lam, strict=True))
         return total
 
-    def holds(self, coord_tuples):
-        return self.evaluate(coord_tuples) <= 0
-
     def key(self):
         return tuple(x for slot in self.normals for x in slot)
 
@@ -81,9 +83,6 @@ class IneqSystem:
         keys = [q.key() for q in self.inequalities]
         if len(set(keys)) != len(keys):
             raise UsageError("system contains proportional inequalities")
-
-    def membership(self, lams):
-        return membership(lams, self)
 
     def to_json(self):
         return {
@@ -148,7 +147,6 @@ def _primitive(slots):
     ints = [x * mult for x in flat]
     g = gcd(*(int(x) for x in ints))
     scale = Fraction(mult, g)
-    rank = len(slots[0])
     cleared = tuple(
         tuple(int(x * scale) for x in slot) for slot in slots
     )
@@ -230,7 +228,8 @@ def project_weight_BC(lam: Weight, s) -> Weight:
         sub.coroot_pairing(eps, sub.simple_roots[i]) for i in range(s)
     )
     out = Weight(sub, coords)
-    assert out.is_dominant()
+    if not out.is_dominant():
+        raise VerificationError(f"projection of {lam.coords} is not dominant")
     return out
 
 
@@ -356,136 +355,47 @@ def verify_subeigencone(case, params, n):
     return report
 
 
-def _grid_scan(tables, sub_tables, n, n_slots, zero_index):
-    """Membership scan of the full grid; numpy-accelerated when available.
-
-    Returns (member count, violation records, boundary witness combos).
-    A violation names the offending index combo; the boundary list holds
-    one tight combo per ambient inequality (the all-zero combo when no
-    grid member is tight on that wall).
-    """
-    try:
-        import numpy as np
-    except ImportError:
-        np = None
-
-    zero_combo = (zero_index,) * n
-
-    if np is not None:
-        def outer_sum(table):
-            total = np.zeros((n_slots,) * n, dtype=np.int64)
-            for i in range(n):
-                shape = [1] * n
-                shape[i] = n_slots
-                total = total + np.asarray(table[i], dtype=np.int64).reshape(shape)
-            return total
-
-        member = np.ones((n_slots,) * n, dtype=bool)
-        amb_sums = []
-        for t in tables:
-            sums = outer_sum(t)
-            amb_sums.append(sums)
-            member &= sums <= 0
-        violating = np.zeros((n_slots,) * n, dtype=bool)
-        for t in sub_tables:
-            violating |= outer_sum(t) > 0
-        bad = member & violating
-        violations = [
-            {"tuple": tuple(int(i) for i in combo)}
-            for combo in np.argwhere(bad)
-        ]
-        boundary = []
-        for qi, sums in enumerate(amb_sums):
-            tight = member & (sums == 0)
-            idx = np.argwhere(tight)
-            witness = tuple(int(i) for i in idx[0]) if len(idx) else zero_combo
-            boundary.append(witness)
-            if any(
-                sum(t[i][witness[i]] for i in range(n)) > 0 for t in sub_tables
-            ):
-                violations.append({"facet": qi, "tuple": witness})
-        return int(member.sum()), violations, boundary
-
-    import itertools
-
-    members = []
-    for combo in itertools.product(range(n_slots), repeat=n):
-        if all(sum(t[i][combo[i]] for i in range(n)) <= 0 for t in tables):
-            members.append(combo)
-    violations = [
-        {"tuple": combo}
-        for combo in members
-        if any(sum(t[i][combo[i]] for i in range(n)) > 0 for t in sub_tables)
-    ]
-    boundary = []
-    for qi, t in enumerate(tables):
-        witness = next(
-            (c for c in members if sum(t[i][c[i]] for i in range(n)) == 0),
-            zero_combo,
-        )
-        boundary.append(witness)
-        if any(
-            sum(st[i][witness[i]] for i in range(n)) > 0 for st in sub_tables
-        ):
-            violations.append({"facet": qi, "tuple": witness})
-    return len(members), violations, boundary
-
-
-def _grid_coords(rank, top):
-    def rec(i):
-        if i == rank:
-            yield ()
-            return
-        for rest in rec(i + 1):
-            for a in range(top + 1):
-                yield (a,) + rest
-
-    return [c for c in rec(0)]
-
-
-def verify_projection(r, s, n, kind="C", grid_top=3):
+def verify_projection(r, s, n, kind="C"):
     """Grid-and-facet check of the projection theorem at one (r, s).
 
     Over all weight tuples with fundamental-weight coordinates in
-    {0..grid_top}: every ambient tier=levi member projects into the rank-s
+    {0..GRID_TOP}: every ambient tier=levi member projects into the rank-s
     tier=levi cone; one boundary point per ambient facet is checked too
     (the all-zero tuple when no grid member is tight); pi o iota is the
     identity on the sub grid; the per-step pairing invariance holds.
     """
+    if kind not in ("B", "C"):
+        raise UsageError("the projection theorem is checked in types B and C, "
+                         f"not {kind}")
     if not 1 <= s < r:
         raise UsageError("need 1 <= s < r")
+    cells = (GRID_TOP + 1) ** (r * n)
+    if cells > GRID_CAP:
+        raise ResourceCapError(
+            f"projection grid has {cells} cells, over the cap {GRID_CAP}",
+            cap=GRID_CAP,
+        )
     amb = build_root_system(kind, r)
     sub = build_root_system(kind, s)
     SG = generate_inequalities(amb, n, "levi")
     SM = generate_inequalities(sub, n, "levi")
 
-    slot_coords = _grid_coords(r, grid_top)
+    slot_coords = grid_coords(r, range(GRID_TOP + 1))
     # projection of integer fw coordinates stays integral in both types
     proj_coords = []
     for c in slot_coords:
         p = project_weight_BC(Weight(amb, tuple(Fraction(x) for x in c)), s)
-        assert all(x.denominator == 1 for x in p.coords)
+        if any(x.denominator != 1 for x in p.coords):
+            raise VerificationError(f"projection of {c} is not integral")
         proj_coords.append(tuple(int(x) for x in p.coords))
 
-    # per inequality, per slot, the value on each grid weight
-    def value_tables(system, coords):
-        return [
-            [
-                [sum(a * b for a, b in zip(q.normals[i], c)) for c in coords]
-                for i in range(n)
-            ]
-            for q in system.inequalities
-        ]
-
-    tables = value_tables(SG, slot_coords)
-    sub_tables = value_tables(SM, proj_coords)
-
     member_count, violations, boundary = _grid_scan(
-        tables, sub_tables, n, len(slot_coords), slot_coords.index((0,) * r)
+        _value_tables(SG, slot_coords), _value_tables(SM, proj_coords),
+        n, len(slot_coords), slot_coords.index((0,) * r),
     )
 
     section_ok = True
-    for c in _grid_coords(s, grid_top):
+    for c in grid_coords(s, range(GRID_TOP + 1)):
         lam = Weight(sub, tuple(Fraction(x) for x in c))
         back = project_weight_BC(include_weight_BC(lam, r), s)
         if back.coords != lam.coords:
@@ -501,7 +411,7 @@ def verify_projection(r, s, n, kind="C", grid_top=3):
         "r": r,
         "s": s,
         "n": n,
-        "grid_top": grid_top,
+        "grid_top": GRID_TOP,
         "ambient_inequalities": len(SG.inequalities),
         "sub_inequalities": len(SM.inequalities),
         "grid_members": member_count,
@@ -513,21 +423,139 @@ def verify_projection(r, s, n, kind="C", grid_top=3):
     }
 
 
-# -- grid helpers for region comparisons ------------------------------------
+# -- exact grid scans -------------------------------------------------------
 
 
-def feasible_on_grid(S: IneqSystem, slot_coords, n=None):
-    """Index tuples of slot_coords entries satisfying every inequality."""
-    n = S.n if n is None else n
-    import itertools
+def grid_coords(rank, values):
+    """Every rank-tuple over values, the first coordinate varying fastest."""
+    return [c[::-1] for c in itertools.product(values, repeat=rank)]
 
-    out = set()
+
+def _value_tables(S: IneqSystem, coords):
+    """Per inequality, per slot, its integer value on each grid weight."""
+    return [
+        [[sum(map(mul, slot, c)) for c in coords] for slot in q.normals]
+        for q in S.inequalities
+    ]
+
+
+class _LastSlot:
+    """One inequality's last-slot values as Python-int bitsets.
+
+    Bit j stands for grid index j: eq(v) holds the indices with value v,
+    le(v) those with value <= v.
+    """
+
+    def __init__(self, column):
+        self._eq = {}
+        for j, v in enumerate(column):
+            self._eq[v] = self._eq.get(v, 0) | 1 << j
+        self._values = sorted(self._eq)
+        self._le = list(itertools.accumulate(
+            (self._eq[v] for v in self._values), or_, initial=0
+        ))
+
+    def eq(self, v):
+        return self._eq.get(v, 0)
+
+    def le(self, v):
+        return self._le[bisect_right(self._values, v)]
+
+
+def _grid_scan_rows(tables, n, n_slots):
+    """One exact scan of the n-slot grid: (columns, rows, full bitset).
+
+    tables[q][i][k] is inequality q's integer value on slot i at grid
+    index k, and columns[q] holds q's last-slot values.  A row fixes the
+    first n - 1 indices (the head), in lexicographic order: rows yields
+    (head, bounds), bounds[q] being minus q's partial sum over the head, so
+    q holds at last-slot index j exactly when tables[q][n - 1][j] <=
+    bounds[q].  Head order followed by bit order is itertools.product order.
+    """
+    def rec(head, bounds):
+        i = len(head)
+        if i == n - 1:
+            yield head, bounds
+            return
+        for k in range(n_slots):
+            step = [b - t[i][k] for b, t in zip(bounds, tables)]
+            yield from rec(head + (k,), step)
+
+    cols = [_LastSlot(t[n - 1]) for t in tables]
+    return cols, rec((), [0] * len(tables)), (1 << n_slots) - 1
+
+
+def _members(cols, bounds, full):
+    """Bitset of last-slot indices where every inequality holds."""
+    member = full
+    for col, b in zip(cols, bounds):
+        member &= col.le(b)
+        if not member:
+            break
+    return member
+
+
+def _bits(x):
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _grid_scan(tables, sub_tables, n, n_slots, zero_index):
+    """Membership scan of the full grid.
+
+    Returns (member count, violation records, boundary witness combos).
+    A violation names the offending index combo; the boundary list holds
+    one tight combo per ambient inequality (the all-zero combo when no
+    grid member is tight on that wall).
+    """
+    m = len(tables)
+    both, rows, full = _grid_scan_rows(tables + sub_tables, n, n_slots)
+    cols, sub_cols = both[:m], both[m:]
+    count = 0
+    violations = []
+    witness = [None] * m
+    for head, bounds in rows:
+        member = _members(cols, bounds, full)
+        if not member:
+            continue
+        count += member.bit_count()
+        bad = member & ~_members(sub_cols, bounds[m:], full)
+        violations += ({"tuple": head + (j,)} for j in _bits(bad))
+        for qi in [qi for qi, w in enumerate(witness) if w is None]:
+            tight = member & cols[qi].eq(bounds[qi])
+            if tight:
+                witness[qi] = head + (next(_bits(tight)),)
+
+    zero_combo = (zero_index,) * n
+    boundary = [zero_combo if w is None else w for w in witness]
+    for qi, w in enumerate(boundary):
+        if any(sum(t[i][w[i]] for i in range(n)) > 0 for t in sub_tables):
+            violations.append({"facet": qi, "tuple": w})
+    return count, violations, boundary
+
+
+def _region_scan(S: IneqSystem, slot_coords):
+    """_grid_scan_rows of S over slot_coords^n.
+
+    Rational slot_coords are scaled by one common positive integer, which
+    keeps the sign of every value.
+    """
     coords = [tuple(Fraction(x) for x in c) for c in slot_coords]
-    for combo in itertools.product(range(len(coords)), repeat=n):
-        lams = [coords[i] for i in combo]
-        if all(q.evaluate(lams) <= 0 for q in S.inequalities):
-            out.add(combo)
-    return out
+    d = lcm(*(x.denominator for c in coords for x in c))
+    coords = [tuple(int(x * d) for x in c) for c in coords]
+    return _grid_scan_rows(_value_tables(S, coords), S.n, len(coords))
+
+
+def feasible_on_grid(S: IneqSystem, slot_coords):
+    """Index tuples of slot_coords entries satisfying every inequality."""
+    cols, rows, full = _region_scan(S, slot_coords)
+    return {
+        head + (j,)
+        for head, bounds in rows
+        for j in _bits(_members(cols, bounds, full))
+    }
 
 
 def regions_agree_on_grid(S1: IneqSystem, S2: IneqSystem, slot_coords):
@@ -538,88 +566,29 @@ def regions_agree_on_grid(S1: IneqSystem, S2: IneqSystem, slot_coords):
     """
     if S1.n != S2.n or S1.root_system is not S2.root_system:
         raise UsageError("systems must share group and n")
-    n = S1.n
-    coords = [tuple(Fraction(x) for x in c) for c in slot_coords]
-    denom = lcm(*(x.denominator for c in coords for x in c)) if coords else 1
-    int_coords = [tuple(int(x * denom) for x in c) for c in coords]
-
-    def tables(S):
-        return [
-            [
-                [sum(a * b for a, b in zip(q.normals[i], c)) for c in int_coords]
-                for i in range(n)
-            ]
-            for q in S.inequalities
-        ]
-
-    t1, t2 = tables(S1), tables(S2)
-    try:
-        import numpy as np
-    except ImportError:
-        np = None
-    if np is not None:
-        def mask(ts):
-            out = np.ones((len(int_coords),) * n, dtype=bool)
-            for t in ts:
-                total = np.zeros((len(int_coords),) * n, dtype=np.int64)
-                for i in range(n):
-                    shape = [1] * n
-                    shape[i] = len(int_coords)
-                    total = total + np.asarray(t[i], dtype=np.int64).reshape(shape)
-                out &= total <= 0
-            return out
-
-        return bool(np.array_equal(mask(t1), mask(t2)))
-
-    import itertools
-
-    for combo in itertools.product(range(len(int_coords)), repeat=n):
-        in1 = all(sum(t[i][combo[i]] for i in range(n)) <= 0 for t in t1)
-        in2 = all(sum(t[i][combo[i]] for i in range(n)) <= 0 for t in t2)
-        if in1 != in2:
-            return False
-    return True
-
-
-def half_integer_grid(rank, top=2):
-    """All fw-coordinate tuples with entries 0, 1/2, 1, ..., top."""
-    steps = [Fraction(k, 2) for k in range(2 * top + 1)]
-
-    def rec(i):
-        if i == rank:
-            yield ()
-            return
-        for rest in rec(i + 1):
-            for a in steps:
-                yield (a,) + rest
-
-    return list(rec(0))
+    return feasible_on_grid(S1, slot_coords) == feasible_on_grid(S2, slot_coords)
 
 
 def facet_witnesses(S: IneqSystem, slot_coords):
     """Per inequality, a grid tuple tight on it and strict on all others.
 
-    Returns a list of (inequality index, witness or None); witness search
-    is a plain scan over the grid, so misses are possible at coarse
-    resolution and are reported rather than fatal.
+    Returns a list of (inequality index, witness or None), the witness
+    being the first such tuple in itertools.product order; misses are
+    possible at coarse resolution and are reported rather than fatal.
     """
-    import itertools
-
-    coords = [tuple(Fraction(x) for x in c) for c in slot_coords]
-    values = {}
-    for combo in itertools.product(range(len(coords)), repeat=S.n):
-        lams = [coords[i] for i in combo]
-        vals = [q.evaluate(lams) for q in S.inequalities]
-        if all(v <= 0 for v in vals):
-            values[combo] = vals
-    out = []
-    for qi in range(len(S.inequalities)):
-        witness = None
-        for combo, vals in values.items():
-            if vals[qi] == 0 and all(
-                v < 0 for i, v in enumerate(vals) if i != qi
-            ):
-                witness = combo
-                break
-        out.append((qi, witness))
-    return out
+    cols, rows, full = _region_scan(S, slot_coords)
+    witness = [None] * len(cols)
+    for head, bounds in rows:
+        member = _members(cols, bounds, full)
+        if not member:
+            continue
+        # a member tight on exactly one wall is strict on all the others
+        tight = [member & col.eq(b) for col, b in zip(cols, bounds)]
+        once = twice = 0
+        for t in tight:
+            twice |= once & t
+            once |= t
+        for qi, t in enumerate(tight):
+            if witness[qi] is None and t & ~twice:
+                witness[qi] = head + (next(_bits(t & ~twice)),)
+    return list(enumerate(witness))

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .errors import ResourceCapError, UsageError
-from .rootsys import RootSystem, Weight, build_root_system
+from .errors import ResourceCapError, UsageError, VerificationError
+from .rootsys import RootSystem, Weight
 from .weyl import generate_weyl_group, longest_element
 
 DIM_CAP = 1_000_000
@@ -88,7 +87,8 @@ def weyl_dim(R: RootSystem, lam):
         num *= _pair(R, shifted, alpha)
         den *= _pair(R, R.rho, alpha)
     d = num / den
-    assert d.denominator == 1 and d > 0
+    if d.denominator != 1 or d <= 0:
+        raise VerificationError(f"Weyl dimension of {coords} is {d}")
     return int(d)
 
 
@@ -137,7 +137,9 @@ def weight_multiplicities(R: RootSystem, lam, dim_cap=DIM_CAP) -> CharacterTable
         a - b for a, b in zip(lam_eps, w0.apply_eps(lam_eps))
     ))
     bounds = [int(x) for x in drop]
-    assert all(Fraction(b) == x and b >= 0 for b, x in zip(bounds, drop))
+    if any(b != x or b < 0 for b, x in zip(bounds, drop)):
+        raise VerificationError(f"lambda - w0 lambda = {drop} is not a "
+                                "non-negative integer root combination")
 
     # dominant weights below lam: lam - sum c_i alpha_i over the finite box
     dominant = []
@@ -179,7 +181,8 @@ def weight_multiplicities(R: RootSystem, lam, dim_cap=DIM_CAP) -> CharacterTable
         if denom == 0:
             raise UsageError("Freudenthal denominator vanished off the top weight")
         m = acc / denom
-        assert m.denominator == 1 and m >= 0
+        if m.denominator != 1 or m < 0:
+            raise VerificationError(f"Freudenthal multiplicity {m} at {mu}")
         if m:
             mult[mu] = int(m)
 
@@ -221,10 +224,9 @@ def tensor_decompose(R: RootSystem, lam, mu, dim_cap=DIM_CAP):
         key = tuple(int(_pair(R, top, a)) for a in R.simple_roots)
         out[key] = out.get(key, 0) + sign * m
     out = {k: v for k, v in out.items() if v}
-    assert all(v > 0 for v in out.values())
-    assert sum(v * weyl_dim(R, k) for k, v in out.items()) == (
-        weyl_dim(R, lc) * weyl_dim(R, mc)
-    )
+    total = sum(v * weyl_dim(R, k) for k, v in out.items())
+    if any(v < 0 for v in out.values()) or total != weyl_dim(R, lc) * weyl_dim(R, mc):
+        raise VerificationError(f"Klimyk decomposition of {lc} x {mc} fails")
     return out
 
 
@@ -250,7 +252,8 @@ def _outer_multiplicity(R, lam, mu, nu, dim_cap):
         m = table.multiplicity(target)
         if m:
             acc += (-1) ** w.length * m
-    assert acc >= 0
+    if acc < 0:
+        raise VerificationError(f"negative multiplicity of {nu} in {lam} x {mu}")
     return acc
 
 

@@ -145,9 +145,6 @@ class RootSystem:
     def is_positive_root(self, v):
         return tuple(v) in frozenset(self.positive_roots)
 
-    def weight(self, coords):
-        return Weight(self, tuple(Fraction(c) for c in coords))
-
     @property
     def label(self):
         return f"{self.kind}{self.rank}" if self.kind in "ABCD" else self.kind

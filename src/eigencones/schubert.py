@@ -26,10 +26,8 @@ from .linalg import vadd, vscale
 from .rootsys import RootSystem, Weight
 from .weyl import (
     ParabolicSpec,
-    WeylElement,
     dual_rep,
     identity,
-    is_minimal_rep,
     minimal_coset_reps,
     simple_reflection,
     word_str,
@@ -142,12 +140,9 @@ class FlagVariety:
     def _check_localization(self):
         # Poincare pairs integrate to 1, non-dual complementary pairs to 0
         for w in self.basis:
-            if self.integral_billey((w, self._billey_dual(w))) != 1:
+            # sigma^B_w has degree length(w); its Poincare dual is dual(w)
+            if self.integral_billey((w, self._dual[w])) != 1:
                 raise UsageError(f"{self.label}: localization failed duality check")
-
-    def _billey_dual(self, w):
-        # sigma^B_w has degree length(w); its Poincare dual is dual(w)
-        return self._dual[w]
 
     def integral_billey(self, ws):
         """Integral of a product of length-indexed Schubert classes.
@@ -312,17 +307,8 @@ class CohomClass:
 
 
 @lru_cache(maxsize=None)
-@lru_cache(maxsize=None)
 def flag_variety(R, excluded):
     return FlagVariety(R, excluded)
-
-
-def codim(w, F: FlagVariety):
-    return F.codim(w)
-
-
-def cup_product(F, u, v) -> CohomClass:
-    return F.cup_product(u, v)
 
 
 def structure_constants(F):
@@ -335,18 +321,6 @@ def structure_constants(F):
                 word_str(w): int(c) for w, c in prod.coeffs.items()
             }
     return table
-
-
-def chi_weight(w, F) -> Weight:
-    return F.chi_weight(w)
-
-
-def theta(F, ws):
-    return F.theta(ws)
-
-
-def is_levi_movable(F, ws):
-    return F.is_levi_movable(ws)
 
 
 def divisor_element(F):

@@ -93,6 +93,8 @@ class WeylElement:
 
     def sends_positive(self, i):
         """True iff w(alpha_i) is a positive root (1-based i)."""
+        if not 1 <= i <= self.root_system.rank:
+            raise UsageError(f"simple root index {i} out of range")
         return _is_positive(self._height_row(), self.root_system.cartan_matrix[i - 1])
 
     def _height_row(self):

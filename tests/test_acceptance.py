@@ -212,7 +212,7 @@ def test_criterion_5_properness_identity():
 
 
 def test_criterion_6_projection():
-    rep = verify_projection(3, 2, 3, kind="C", grid_top=3)
+    rep = verify_projection(3, 2, 3, kind="C")
     assert rep["ok"], rep
     assert rep["violations"] == []
     assert rep["section_identity"]

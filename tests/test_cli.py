@@ -72,6 +72,24 @@ def test_multiply_cache_roundtrip(tmp_path, capsys):
     assert (code3, out3) == (code1, out1)
 
 
+@pytest.mark.parametrize("damage", ["torn", "dropped"])
+def test_multiply_cache_survives_a_partial_file(damage, tmp_path, capsys):
+    args = ("multiply", "--group", "G2", "--parabolic", "1",
+            "--words", "21,121", "--cache-dir", str(tmp_path))
+    cold = run(capsys, *args)
+    assert cold[0] == 0
+    path = next(tmp_path.glob("*.jsonl"))
+    lines = path.read_text().splitlines(keepends=True)
+    if damage == "torn":   # cut mid-record, as an interrupted write leaves it
+        path.write_text("".join(lines[:len(lines) // 2]) + lines[-1][:10])
+    else:                  # whole records lost, the requested pair among them
+        path.write_text("".join(lines[:2]))
+    assert run(capsys, *args) == cold
+    table = JsonlStore(tmp_path).load_structure_constants("G2", 2, 1)
+    assert ("21", "121") in table
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_cache_rejects_stale_version(tmp_path):
     store = JsonlStore(tmp_path)
     store.save_structure_constants("C", 2, 1, {("e", "e"): {"e": 1}})
@@ -167,6 +185,24 @@ def test_verify_thm_proj(capsys):
     doc = json.loads(out)
     assert doc["report"]["ok"]
     assert doc["report"]["violations"] == []
+
+
+@pytest.mark.parametrize("argv,code,needle", [
+    (("--group", "G2", "--r", "2", "--s", "1"), 2, "B and C"),
+    (("--group", "D", "--r", "3", "--s", "2"), 2, "B and C"),
+    (("--group", "A", "--r", "3", "--s", "2"), 2, "B and C"),
+    (("--r", "3", "--s", "2", "--n", "5"), 3, "cap"),
+    (("--r", "5", "--s", "2"), 3, "cap"),
+])
+def test_verify_thm_proj_checks_inputs_first(argv, code, needle, monkeypatch,
+                                             capsys):
+    def fail(*args):
+        raise AssertionError("projection work started")
+
+    monkeypatch.setattr("eigencones.cones.build_root_system", fail)
+    got, _, err = run(capsys, "verify", "thm-proj", *argv)
+    assert got == code and needle in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_tables_orbits(capsys):

@@ -10,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigencones.cones import (
+    GRID_CAP,
+    GRID_TOP,
     IneqSystem,
+    _grid_scan,
     facet_witnesses,
     feasible_on_grid,
     generate_inequalities,
-    half_integer_grid,
+    grid_coords,
     include_weight_BC,
     membership,
     project_weight_BC,
@@ -24,10 +27,11 @@ from eigencones.cones import (
     verify_projection,
     verify_subeigencone,
 )
-from eigencones.errors import UsageError
+from eigencones.errors import ResourceCapError, UsageError
 from eigencones.rootsys import Weight, build_root_system
 
 GOLDEN = Path(__file__).parent / "golden"
+HALF_STEPS = [Fraction(k, 2) for k in range(5)]   # 0, 1/2, ..., 2
 
 
 def test_a1_triangle_system():
@@ -134,12 +138,12 @@ def test_region_equality_nonzero_vs_levi():
         S1 = generate_inequalities(R, 3, "nonzero")
         S2 = generate_inequalities(R, 3, "levi")
         assert len(S2.inequalities) <= len(S1.inequalities)
-        assert regions_agree_on_grid(S1, S2, half_integer_grid(rank, top=2))
+        assert regions_agree_on_grid(S1, S2, grid_coords(rank, HALF_STEPS))
 
 
 def test_facet_witnesses_sp4():
     S = generate_inequalities(build_root_system("C", 2), 3, "levi")
-    grid = half_integer_grid(2, top=2)
+    grid = grid_coords(2, HALF_STEPS)
     found = facet_witnesses(S, grid)
     assert len(found) == len(S.inequalities)
     misses = [qi for qi, w in found if w is None]
@@ -152,6 +156,106 @@ def test_feasible_on_grid_contains_origin():
     grid = [(0, 0), (1, 0), (0, 1)]
     feas = feasible_on_grid(S, grid)
     assert (0, 0, 0) in feas
+
+
+def test_grid_coords_first_coordinate_fastest():
+    assert grid_coords(2, range(2)) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert grid_coords(0, HALF_STEPS) == [()]
+
+
+# -- the grid kernel against plain itertools loops ---------------------------
+
+
+def reference_grid_scan(tables, sub_tables, n, n_slots, zero_index):
+    """The plain itertools loop the bitset kernel replaced."""
+    members = []
+    for combo in itertools.product(range(n_slots), repeat=n):
+        if all(sum(t[i][combo[i]] for i in range(n)) <= 0 for t in tables):
+            members.append(combo)
+    violations = [
+        {"tuple": combo}
+        for combo in members
+        if any(sum(t[i][combo[i]] for i in range(n)) > 0 for t in sub_tables)
+    ]
+    boundary = []
+    for qi, t in enumerate(tables):
+        witness = next(
+            (c for c in members if sum(t[i][c[i]] for i in range(n)) == 0),
+            (zero_index,) * n,
+        )
+        boundary.append(witness)
+        if any(
+            sum(st[i][witness[i]] for i in range(n)) > 0 for st in sub_tables
+        ):
+            violations.append({"facet": qi, "tuple": witness})
+    return len(members), violations, boundary
+
+
+@st.composite
+def scan_inputs(draw):
+    n = draw(st.integers(1, 3))
+    n_slots = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-3, 3), min_size=n_slots, max_size=n_slots)
+
+    def tables(most):
+        return draw(st.lists(st.lists(row, min_size=n, max_size=n),
+                             max_size=most))
+
+    return (tables(5), tables(3), n, n_slots,
+            draw(st.integers(0, n_slots - 1)))
+
+
+@given(scan_inputs())
+@settings(max_examples=300, deadline=None)
+def test_grid_scan_matches_reference(args):
+    assert _grid_scan(*args) == reference_grid_scan(*args)
+
+
+def brute_force_members(S, grid):
+    """Grid member combo -> per-inequality values, in itertools order.
+
+    The half-integer grid is doubled to integers, which scales every value
+    by 2 and so keeps every sign.
+    """
+    doubled = [tuple(int(2 * x) for x in c) for c in grid]
+    values = [
+        [[sum(a * b for a, b in zip(slot, c)) for c in doubled]
+         for slot in q.normals]
+        for q in S.inequalities
+    ]
+    members = {}
+    for combo in itertools.product(range(len(grid)), repeat=S.n):
+        vals = [sum(t[i][k] for i, k in enumerate(combo)) for t in values]
+        if all(v <= 0 for v in vals):
+            members[combo] = vals
+    return members
+
+
+@pytest.mark.parametrize("kind", ["C", "G2"])
+def test_region_helpers_match_brute_force(kind):
+    R = build_root_system(kind, 2)
+    grid = grid_coords(2, HALF_STEPS)
+    levi = generate_inequalities(R, 3, "levi")
+    nonzero = generate_inequalities(R, 3, "nonzero")
+    fewer = IneqSystem(R, 3, "levi", levi.inequalities[1:])
+    members = {S: brute_force_members(S, grid) for S in (levi, nonzero, fewer)}
+
+    assert feasible_on_grid(levi, grid) == set(members[levi])
+    for S in (nonzero, fewer):
+        expected = members[S].keys() == members[levi].keys()
+        assert regions_agree_on_grid(S, levi, grid) is expected
+    # dropping a wall of an irredundant system widens the grid region
+    assert not regions_agree_on_grid(fewer, levi, grid)
+
+    expected = [
+        (qi, next(
+            (c for c, vals in members[levi].items()
+             if vals[qi] == 0 and sum(v == 0 for v in vals) == 1),
+            None,
+        ))
+        for qi in range(len(levi.inequalities))
+    ]
+    assert facet_witnesses(levi, grid) == expected
 
 
 # -- projection --------------------------------------------------------------
@@ -209,7 +313,7 @@ def test_projection_step_invariance_counts():
 
 
 def test_verify_projection_c21():
-    rep = verify_projection(2, 1, 3, kind="C", grid_top=3)
+    rep = verify_projection(2, 1, 3, kind="C")
     assert rep["ok"]
     assert rep["violations"] == []
     assert rep["section_identity"]
@@ -219,6 +323,27 @@ def test_verify_projection_c21():
 def test_verify_projection_bad_ranks():
     with pytest.raises(UsageError):
         verify_projection(2, 2, 3)
+
+
+@pytest.mark.parametrize("kind", ["A", "D", "G2", "F4"])
+def test_verify_projection_rejects_other_types(kind, monkeypatch):
+    monkeypatch.setattr("eigencones.cones.build_root_system", None)
+    with pytest.raises(UsageError, match="B and C"):
+        verify_projection(3, 2, 3, kind=kind)
+
+
+@pytest.mark.parametrize("r,n,capped", [
+    (3, 4, False), (4, 3, False), (3, 5, True), (5, 3, True),
+])
+def test_verify_projection_grid_cap(r, n, capped, monkeypatch):
+    def reached(*args):
+        raise RuntimeError("reached generate_inequalities")
+
+    monkeypatch.setattr("eigencones.cones.generate_inequalities", reached)
+    assert ((GRID_TOP + 1) ** (r * n) > GRID_CAP) is capped
+    expected = ResourceCapError if capped else RuntimeError
+    with pytest.raises(expected):
+        verify_projection(r, 2, n)
 
 
 # -- sub-eigencone driver ----------------------------------------------------

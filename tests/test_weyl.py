@@ -122,6 +122,15 @@ def test_canonical_word_rejects_a_non_weyl_matrix():
         _canonical_word(R, ((2, 0), (0, 1)))
 
 
+def test_sends_positive_checks_the_index():
+    R = build_root_system("C", 3)
+    w = simple_reflection(R, 3)
+    assert [w.sends_positive(i) for i in (1, 2, 3)] == [True, True, False]
+    for i in (0, R.rank + 1):
+        with pytest.raises(UsageError):
+            w.sends_positive(i)
+
+
 def test_word_str_digit_format():
     R = build_root_system("C", 3)
     w = word_to_element(R, "121")
