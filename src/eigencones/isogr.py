@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UsageError
+from .errors import UsageError, VerificationError
 from .rootsys import build_embedding, build_root_system
 from .schubert import FlagVariety, flag_variety
 from .weyl import ParabolicSpec, identity, word_str, word_to_element
@@ -63,7 +63,7 @@ def dim_from_index(I: IndexSet):
     """dim of the Schubert cell C_I, by the [BKISO]-style subset formula."""
     half = _count_gt_pairs(I.elems, I.bar()) + I.count_gt(I.r)
     if half % 2 != 0:
-        raise UsageError("dimension half-sum is not integral")
+        raise VerificationError("dimension half-sum is not integral")
     return _count_gt_pairs(I.elems, I.tilde()) + half // 2
 
 
@@ -71,7 +71,7 @@ def ig_dim(k, r):
     """dim IG(k,2r) = (k/2)(4r - 3k + 1)."""
     num = k * (4 * r - 3 * k + 1)
     if num % 2 != 0:
-        raise UsageError("non-integral Grassmannian dimension")
+        raise VerificationError("non-integral Grassmannian dimension")
     return num // 2
 
 
@@ -94,12 +94,12 @@ def weyl_index_bijection(F: FlagVariety):
             img = w.apply_eps(e_i)
             nz = [j for j, c in enumerate(img) if c != 0]
             if len(nz) != 1 or abs(img[nz[0]]) != 1:
-                raise UsageError("element does not act as a signed permutation")
+                raise VerificationError("element does not act as a signed permutation")
             j = nz[0]
             out.append(j + 1 if img[j] > 0 else 2 * r - j)
         I = IndexSet(tuple(out), r)
         if dim_from_index(I) != w.length:
-            raise UsageError(f"index dictionary broken at {word_str(w)}")
+            raise VerificationError(f"index dictionary broken at {word_str(w)}")
         to_index[w] = I
     from_index = {I: w for w, I in to_index.items()}
     return to_index, from_index
@@ -179,7 +179,7 @@ def _theta_eps(F: FlagVariety, ws, k):
         total = tuple(a - b for a, b in zip(total, F.chi_weight(w).ambient))
     val = sum(total[:k])
     if val.denominator != 1:
-        raise UsageError("theta evaluation is not integral")
+        raise VerificationError("theta evaluation is not integral")
     return int(val)
 
 
@@ -213,18 +213,18 @@ def expected_dim_zero_check(ws, r, s, k):
         "expdim_G": e_G, "expdim_M": e_M,
     }
     if theta_G - theta_M != e_G - e_M:
-        raise UsageError(f"first expected-dimension lemma fails: {report}")
+        raise VerificationError(f"first expected-dimension lemma fails: {report}")
     if (e_G - e_M) % (2 * (r - s)) != 0:
-        raise UsageError(f"expected-dimension gap not divisible by 2(r-s): {report}")
+        raise VerificationError(f"expected-dimension gap not divisible by 2(r-s): {report}")
     if theta_M - theta_H != (e_G - e_M) // (2 * (r - s)):
-        raise UsageError(f"second expected-dimension lemma fails: {report}")
+        raise VerificationError(f"second expected-dimension lemma fails: {report}")
 
     movable, m = FM.is_levi_movable(ws) if e_M == 0 else (False, 0)
     report["levi_movable_M"] = movable
     report["multiplicity_M"] = m
     if movable and m == 1:
         if theta_G != 0 or e_G != 0:
-            raise UsageError(f"Levi-movable unit tuple with nonzero ambient data: {report}")
+            raise VerificationError(f"Levi-movable unit tuple with nonzero ambient data: {report}")
     return report
 
 
@@ -300,7 +300,7 @@ def properness_identity(index_sets, k, r):
         )
     value = k - sum(I_M.count_le(s) for I_M in index_sets)
     if value != 0:
-        raise UsageError(f"properness identity is nonzero: {value}")
+        raise VerificationError(f"properness identity is nonzero: {value}")
     return value
 
 
@@ -322,10 +322,10 @@ def bc_transfer(F_C: FlagVariety):
     for w in F_C.basis:
         wb = word_to_element(F_B.root_system, w.word)
         if wb not in F_B.index:
-            raise UsageError("word correspondence left the coset basis")
+            raise VerificationError("word correspondence left the coset basis")
         c_to_b[w] = wb
     if len(set(c_to_b.values())) != len(F_B.basis):
-        raise UsageError("basis correspondence is not bijective")
+        raise VerificationError("basis correspondence is not bijective")
     return F_B, c_to_b
 
 
@@ -346,14 +346,14 @@ def bc_point_products_agree(F_C: FlagVariety, n=3):
             matched = tuple(c_to_b[w] for w in pt.elements)
             movable, m = F_B.is_levi_movable(matched)
             if not (movable and m == 1):
-                raise UsageError(f"B-side product fails at {pt.words}: m={m}")
+                raise VerificationError(f"B-side product fails at {pt.words}: m={m}")
     b_units = {
         pt.words
         for pt in point_product_tuples(F_B, n, filter="levi")
         if pt.multiplicity == 1
     }
     if c_units != b_units:
-        raise UsageError("unit Levi tuples differ across the B/C correspondence")
+        raise VerificationError("unit Levi tuples differ across the B/C correspondence")
     return len(c_units)
 
 

@@ -5,20 +5,55 @@ Klimyk alternation multiplies them, and a Steinberg-style alternating sum
 reads off a single outer multiplicity from one character table.  The
 invariant dimension of a tuple folds the last slot through duality, so an
 n = 3 query costs two character tables and |W| reflections per weight.
+
+Weights are int tuples in fundamental-weight (fw) coordinates.  The simple
+root alpha_i is row i of the Cartan matrix, so s_i sends lam to
+lam - lam_i * C[i], a weight is dominant when no coordinate is negative,
+and rho is (1, ..., 1).  Positive roots and their coroot coefficients are
+int rows, and the invariant form is the fw Gram matrix cleared to ints: a
+positive multiple of the Killing form, which scales both sides of
+Freudenthal's formula alike.  A character table is keyed by dominant fw
+coordinates.  Fraction is left to the boundary: parsing input, the
+lambda - w0 lambda box (once per table) and CharacterTable.multiplicity,
+which takes an epsilon vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add, mul, sub
 
 from .errors import ResourceCapError, UsageError, VerificationError
 from .rootsys import RootSystem, Weight
-from .weyl import generate_weyl_group, longest_element
+from .weyl import _ctx as _weyl_ctx, generate_weyl_group, longest_element
 
 DIM_CAP = 1_000_000
 
 _table_memo = {}
+
+
+class _Data:
+    """Int data of one root system in fw coordinates (see the module doc)."""
+
+    def __init__(self, R):
+        ctx = _weyl_ctx(R)
+        self.roots = ctx.pos_fw
+        # <lam, beta^vee> = coroot row . lam, since <w_j, beta^vee> = row[j]
+        self.coroots = tuple(
+            tuple(int(R.coroot_pairing(w, b)) for w in R.fundamental_weights)
+            for b in R.positive_roots
+        )
+        self.heights = tuple(int(R.root_height(b)) for b in R.positive_roots)
+        self.gram = ctx.weight_gram
+        # (x, beta) = x . form row of beta
+        self.forms = tuple(
+            tuple(sum(map(mul, row, b)) for row in self.gram) for b in self.roots
+        )
+
+
+_data = lru_cache(maxsize=None)(_Data)
 
 
 def _fw_coords(R, lam):
@@ -28,78 +63,58 @@ def _fw_coords(R, lam):
         coords = lam.coords
     else:
         coords = tuple(Fraction(x) for x in lam)
+    if len(coords) != R.rank:
+        raise UsageError("coordinate length does not match rank")
     if any(x < 0 or x.denominator != 1 for x in coords):
         raise UsageError("need a dominant integral weight")
     return tuple(int(x) for x in coords)
 
 
-def _eps(R, coords):
-    return R.from_fw(tuple(Fraction(c) for c in coords))
+def _norm(gram, v):
+    return sum(x * sum(map(mul, row, v)) for x, row in zip(v, gram))
 
 
-def _pair(R, v, root):
-    return R.coroot_pairing(v, root)
+def _reflect(C, v, i):
+    c = v[i]
+    return tuple(x - c * a for x, a in zip(v, C[i]))
 
 
-def _reflect(R, v, i):
-    c = _pair(R, v, R.simple_roots[i])
-    return tuple(x - c * a for x, a in zip(v, R.simple_roots[i]))
-
-
-def _fold_dominant(R, v):
+def _fold_dominant(C, v):
     """(dominant representative, sign); sign = 0 when a wall is hit."""
     sign = 1
     moved = True
     while moved:
         moved = False
-        for i in range(R.rank):
-            c = _pair(R, v, R.simple_roots[i])
+        for i, c in enumerate(v):
             if c < 0:
-                v = tuple(x - c * a for x, a in zip(v, R.simple_roots[i]))
+                v = _reflect(C, v, i)
                 sign = -sign
                 moved = True
-    for i in range(R.rank):
-        if _pair(R, v, R.simple_roots[i]) == 0:
-            return v, 0
-    return v, sign
-
-
-def _fold_weight(R, v):
-    """Dominant chamber representative of an arbitrary weight (walls kept)."""
-    moved = True
-    while moved:
-        moved = False
-        for i in range(R.rank):
-            c = _pair(R, v, R.simple_roots[i])
-            if c < 0:
-                v = tuple(x - c * a for x, a in zip(v, R.simple_roots[i]))
-                moved = True
-    return v
+    return v, (0 if 0 in v else sign)
 
 
 def weyl_dim(R: RootSystem, lam):
     """Dimension of the irreducible with highest weight lam."""
     coords = _fw_coords(R, lam)
-    lam_eps = _eps(R, coords)
-    shifted = tuple(a + b for a, b in zip(lam_eps, R.rho))
-    num = den = Fraction(1)
-    for alpha in R.positive_roots:
-        num *= _pair(R, shifted, alpha)
-        den *= _pair(R, R.rho, alpha)
-    d = num / den
-    if d.denominator != 1 or d <= 0:
-        raise VerificationError(f"Weyl dimension of {coords} is {d}")
-    return int(d)
+    num = den = 1
+    for c in _data(R).coroots:
+        rho_c = sum(c)
+        num *= sum(map(mul, c, coords)) + rho_c
+        den *= rho_c
+    d, r = divmod(num, den)
+    if r or d <= 0:
+        raise VerificationError(f"Weyl dimension of {coords} is {Fraction(num, den)}")
+    return d
 
 
-def _orbit(R, v):
+def _orbit(C, v):
     seen = {v}
     frontier = [v]
     while frontier:
         nxt = []
         for u in frontier:
-            for i in range(R.rank):
-                w = _reflect(R, u, i)
+            for i in range(len(u)):
+                w = _reflect(C, u, i)
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -111,11 +126,21 @@ def _orbit(R, v):
 class CharacterTable:
     root_system: RootSystem
     highest: tuple                  # fw coordinates, ints
-    multiplicities: dict            # dominant eps vector -> positive int
+    multiplicities: dict            # dominant fw coordinates -> positive int
     dim: int
+    weights: dict                   # every weight's fw coordinates -> its multiplicity
 
     def multiplicity(self, v_eps):
-        return self.multiplicities.get(_fold_weight(self.root_system, v_eps), 0)
+        """Multiplicity of an epsilon vector; 0 off the weight lattice."""
+        R = self.root_system
+        if len(v_eps) != R.ambient_dim:
+            raise UsageError(f"expected {R.ambient_dim} epsilon coordinates, "
+                             f"got {len(v_eps)}")
+        v = tuple(Fraction(x) for x in v_eps)
+        fw = R.fw_coords(v)
+        if any(x.denominator != 1 for x in fw) or R.from_fw(fw) != v:
+            return 0
+        return self.weights.get(tuple(int(x) for x in fw), 0)
 
 
 def weight_multiplicities(R: RootSystem, lam, dim_cap=DIM_CAP) -> CharacterTable:
@@ -131,97 +156,75 @@ def weight_multiplicities(R: RootSystem, lam, dim_cap=DIM_CAP) -> CharacterTable
             f"dim {total} exceeds character table cap {dim_cap}", cap=dim_cap
         )
 
-    lam_eps = _eps(R, coords)
-    w0 = longest_element(R)
-    drop = R.alpha_coords(tuple(
-        a - b for a, b in zip(lam_eps, w0.apply_eps(lam_eps))
-    ))
-    bounds = [int(x) for x in drop]
-    if any(b != x or b < 0 for b, x in zip(bounds, drop)):
+    d = _data(R)
+    C = R.cartan_matrix
+    drop = R.alpha_coords(R.from_fw(tuple(
+        map(sub, coords, longest_element(R).apply_fw(coords))
+    )))
+    if any(x < 0 or x.denominator != 1 for x in drop):
         raise VerificationError(f"lambda - w0 lambda = {drop} is not a "
                                 "non-negative integer root combination")
 
-    # dominant weights below lam: lam - sum c_i alpha_i over the finite box
-    dominant = []
-    def scan(i, v):
-        if i == R.rank:
-            if all(_pair(R, v, a) >= 0 for a in R.simple_roots):
-                dominant.append(v)
-            return
-        for c in range(bounds[i] + 1):
-            scan(i + 1, tuple(
-                x - c * a for x, a in zip(v, R.simple_roots[i])
-            ))
-    scan(0, lam_eps)
+    # dominant weights below lam: lam - sum c_i alpha_i over the finite box,
+    # each with its depth sum c_i, which is the height of lam - mu
+    box = [(coords, 0)]
+    for row, b in zip(C, drop):
+        box = [(tuple(x - c * a for x, a in zip(v, row)), h + c)
+               for v, h in box for c in range(int(b) + 1)]
+    dominant = sorted(((v, h) for v, h in box if min(v) >= 0),
+                      key=lambda t: t[1])
 
-    lam_rho = tuple(a + b for a, b in zip(lam_eps, R.rho))
-    lam_rho_sq = R.killing(lam_rho, lam_rho)
-
-    def height(v):
-        return sum(R.alpha_coords(tuple(a - b for a, b in zip(lam_eps, v))))
-
+    lam_rho_sq = _norm(d.gram, tuple(x + 1 for x in coords))
     mult = {}
-    for mu in sorted(dominant, key=height):
-        if mu == lam_eps:
+    for mu, depth in dominant:
+        if mu == coords:
             mult[mu] = 1
             continue
-        mu_rho = tuple(a + b for a, b in zip(mu, R.rho))
-        denom = lam_rho_sq - R.killing(mu_rho, mu_rho)
-        acc = Fraction(0)
-        for alpha in R.positive_roots:
-            k = 1
-            while True:
-                shifted = tuple(a + k * b for a, b in zip(mu, alpha))
-                m = mult.get(_fold_weight(R, shifted), 0)
-                if m == 0 and height(shifted) < 0:
-                    break
+        denom = lam_rho_sq - _norm(d.gram, tuple(x + 1 for x in mu))
+        if denom <= 0:
+            raise VerificationError(f"Freudenthal denominator {denom} at {mu}")
+        acc = 0
+        for alpha, form, height in zip(d.roots, d.forms, d.heights):
+            base = sum(map(mul, mu, form))
+            step = sum(map(mul, alpha, form))
+            shifted = mu
+            for k in range(1, depth // height + 1):
+                shifted = tuple(map(add, shifted, alpha))
+                m = mult.get(_fold_dominant(C, shifted)[0], 0)
                 if m:
-                    acc += 2 * m * R.killing(shifted, alpha)
-                k += 1
-        if denom == 0:
-            raise UsageError("Freudenthal denominator vanished off the top weight")
-        m = acc / denom
-        if m.denominator != 1 or m < 0:
-            raise VerificationError(f"Freudenthal multiplicity {m} at {mu}")
+                    acc += 2 * m * (base + k * step)
+        m, r = divmod(acc, denom)
+        if r or m < 0:
+            raise VerificationError(
+                f"Freudenthal multiplicity {Fraction(acc, denom)} at {mu}")
         if m:
-            mult[mu] = int(m)
+            mult[mu] = m
 
-    check = sum(m * len(_orbit(R, mu)) for mu, m in mult.items())
-    if check != total:
-        raise UsageError(
-            f"character table of {coords} sums to {check}, expected {total}"
-        )
-    table = CharacterTable(R, coords, mult, total)
+    weights = {v: m for mu, m in mult.items() for v in _orbit(C, mu)}
+    if sum(weights.values()) != total:
+        raise VerificationError(f"character table of {coords} sums to "
+                                f"{sum(weights.values())}, expected {total}")
+    table = CharacterTable(R, coords, mult, total, weights)
     _table_memo[key] = table
     return table
-
-
-def _all_weights(table: CharacterTable):
-    R = table.root_system
-    for mu, m in table.multiplicities.items():
-        for v in _orbit(R, mu):
-            yield v, m
 
 
 def tensor_decompose(R: RootSystem, lam, mu, dim_cap=DIM_CAP):
     """V_lam (x) V_mu as {fw coords: multiplicity}, by Klimyk alternation."""
     lc, mc = _fw_coords(R, lam), _fw_coords(R, mu)
     if weyl_dim(R, lc) * weyl_dim(R, mc) > dim_cap:
-        raise ResourceCapError(
-            "tensor product dimension exceeds cap", cap=dim_cap
-        )
+        raise ResourceCapError("tensor product dimension exceeds cap", cap=dim_cap)
     if weyl_dim(R, lc) < weyl_dim(R, mc):
         lc, mc = mc, lc
     table = weight_multiplicities(R, mc, dim_cap)
-    lam_rho = tuple(a + b for a, b in zip(_eps(R, lc), R.rho))
+    C = R.cartan_matrix
+    lam_rho = tuple(x + 1 for x in lc)
     out = {}
-    for nu, m in _all_weights(table):
-        shifted = tuple(a + b for a, b in zip(lam_rho, nu))
-        folded, sign = _fold_dominant(R, shifted)
+    for nu, m in table.weights.items():
+        folded, sign = _fold_dominant(C, tuple(map(add, lam_rho, nu)))
         if sign == 0:
             continue
-        top = tuple(a - b for a, b in zip(folded, R.rho))
-        key = tuple(int(_pair(R, top, a)) for a in R.simple_roots)
+        key = tuple(x - 1 for x in folded)
         out[key] = out.get(key, 0) + sign * m
     out = {k: v for k, v in out.items() if v}
     total = sum(v * weyl_dim(R, k) for k, v in out.items())
@@ -233,25 +236,19 @@ def tensor_decompose(R: RootSystem, lam, mu, dim_cap=DIM_CAP):
 def dual_weight_coords(R: RootSystem, lam):
     """Highest weight of the dual representation, -w0(lam)."""
     coords = _fw_coords(R, lam)
-    w0 = longest_element(R)
-    neg = tuple(-x for x in w0.apply_eps(_eps(R, coords)))
-    out = tuple(int(_pair(R, neg, a)) for a in R.simple_roots)
-    return out
+    return tuple(-x for x in longest_element(R).apply_fw(coords))
 
 
 def _outer_multiplicity(R, lam, mu, nu, dim_cap):
     """Multiplicity of V_nu inside V_lam (x) V_mu, one alternating sum."""
-    table = weight_multiplicities(R, mu, dim_cap)
-    lam_rho = tuple(a + b for a, b in zip(_eps(R, lam), R.rho))
-    nu_rho = tuple(a + b for a, b in zip(_eps(R, nu), R.rho))
+    weights = weight_multiplicities(R, mu, dim_cap).weights
+    lam_rho = tuple(x + 1 for x in lam)
+    nu_rho = tuple(x + 1 for x in nu)
     acc = 0
     for w in generate_weyl_group(R):
-        target = tuple(
-            a - b for a, b in zip(w.apply_eps(nu_rho), lam_rho)
-        )
-        m = table.multiplicity(target)
+        m = weights.get(tuple(map(sub, w.apply_fw(nu_rho), lam_rho)))
         if m:
-            acc += (-1) ** w.length * m
+            acc += -m if w.length & 1 else m
     if acc < 0:
         raise VerificationError(f"negative multiplicity of {nu} in {lam} x {mu}")
     return acc

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ResourceCapError, UsageError
+from .errors import ResourceCapError, UsageError, VerificationError
 from .linalg import vadd, vscale
 from .rootsys import RootSystem, Weight
 from .weyl import (
@@ -99,7 +99,7 @@ class FlagVariety:
         for j, c in enumerate(a):
             val += c * _GENERIC_BASE ** (j + 1)
         if val == 0:
-            raise UsageError("generic point vanished on a root")
+            raise VerificationError("generic point vanished on a root")
         return val
 
     def _localization(self):
@@ -142,7 +142,7 @@ class FlagVariety:
         for w in self.basis:
             # sigma^B_w has degree length(w); its Poincare dual is dual(w)
             if self.integral_billey((w, self._dual[w])) != 1:
-                raise UsageError(f"{self.label}: localization failed duality check")
+                raise VerificationError(f"{self.label}: localization failed duality check")
 
     def integral_billey(self, ws):
         """Integral of a product of length-indexed Schubert classes.
@@ -176,7 +176,7 @@ class FlagVariety:
             raise UsageError("codimensions do not sum to dim")
         m = self.integral_billey(tuple(self._dual[w] for w in ws))
         if m.denominator != 1:
-            raise UsageError(f"{self.label}: non-integer intersection number")
+            raise VerificationError(f"{self.label}: non-integer intersection number")
         return int(m)
 
     def cup_product(self, u, v):
@@ -192,7 +192,7 @@ class FlagVariety:
             for w in self.by_codim[cu + cv]:
                 n = self.integral_billey((a, b, w))
                 if n.denominator != 1:
-                    raise UsageError(f"{self.label}: non-integer structure constant")
+                    raise VerificationError(f"{self.label}: non-integer structure constant")
                 if n != 0:
                     coeffs[w] = int(n)
         out = CohomClass(self, coeffs)
@@ -224,7 +224,7 @@ class FlagVariety:
             vadd(R.rho, vscale(-2, self.rho_L)), w.inverse().apply_eps(R.rho)
         )
         if total != alt:
-            raise UsageError(f"{self.label}: chi definitions disagree at {word_str(w)}")
+            raise VerificationError(f"{self.label}: chi definitions disagree at {word_str(w)}")
         out = Weight(R, R.fw_coords(total))
         self._chi[w] = out
         return out
@@ -241,7 +241,7 @@ class FlagVariety:
             s = s - self.chi_weight(w)
         val = self.eval_xP(s)
         if val.denominator != 1:
-            raise UsageError("theta must be an integer")
+            raise VerificationError("theta must be an integer")
         return int(val)
 
     def is_levi_movable(self, ws):
@@ -249,7 +249,7 @@ class FlagVariety:
         m = self.point_multiplicity(ws)
         th = self.theta(ws)
         if m > 0 and th < 0:
-            raise UsageError(
+            raise VerificationError(
                 f"{self.label}: theta < 0 on a nonzero point product {tuple(map(word_str, ws))}"
             )
         return (m > 0 and th == 0), m
@@ -266,7 +266,7 @@ def _is_positive(R, v_eps):
     for c in R.alpha_coords(v_eps):
         if c != 0:
             return c > 0
-    raise UsageError("zero vector has no sign")
+    raise VerificationError("zero vector has no sign")
 
 
 @dataclass(frozen=True)

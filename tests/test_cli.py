@@ -1,11 +1,13 @@
 """CLI dispatch, exit codes, formats, determinism, cache coherence."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from eigencones.cache import JsonlStore
 from eigencones.cli import main
+from eigencones.schubert import FlagVariety
 
 
 def run(capsys, *argv):
@@ -238,3 +240,13 @@ def test_output_deterministic(capsys):
     a = run(capsys, "inequalities", "--group", "G2", "--n", "3")
     b = run(capsys, "inequalities", "--group", "G2", "--n", "3")
     assert a == b
+
+
+def test_failed_self_check_exits_1_with_one_line(monkeypatch, capsys):
+    # a non-integral theta is an internal failure, not a usage error
+    monkeypatch.setattr(FlagVariety, "eval_xP", lambda self, weight: Fraction(1, 2))
+    code, out, err = run(capsys, "inequalities", "--group", "A1", "--n", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failure: theta")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigencones.errors import UsageError
+from eigencones import isogr
+from eigencones.errors import UsageError, VerificationError
 from eigencones.isogr import (
     IndexSet,
     bc_delta,
@@ -294,3 +295,9 @@ def test_orbit_table_rows():
         {"k": 1, "r": 3, "O1": 3, "O2": 2, "O2'": 1, "O3": 5},
         {"k": 2, "r": 3, "O1": 3, "O2": 6, "O2'": 4, "O3": 7},
     ]
+
+
+def test_broken_index_dictionary_is_a_verification_error(monkeypatch):
+    monkeypatch.setattr(isogr, "dim_from_index", lambda I: -1)
+    with pytest.raises(VerificationError, match="index dictionary"):
+        weyl_index_bijection(FC(2, 1))

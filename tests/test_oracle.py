@@ -1,10 +1,14 @@
 """Character tables, tensor decompositions, and invariant dimensions."""
 
 import itertools
+import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from eigencones.errors import ResourceCapError, UsageError
+from eigencones import oracle
+from eigencones.errors import ResourceCapError, UsageError, VerificationError
 from eigencones.oracle import (
     dual_weight_coords,
     invariant_dim,
@@ -184,3 +188,99 @@ def test_oracle_positive_implies_membership():
         n = saturated_search(C2, [tuple(c) for c in combo], n_max=3)
         if n is not None:
             assert membership(list(combo), S)[0]
+
+
+
+@pytest.mark.parametrize("rank,top", [(2, 2), (3, 1)])
+def test_type_a_oracle_is_two_sided(rank, top):
+    # Knutson-Tao saturation: in type A a triple lies in the cone exactly
+    # when some V_{N lam1} (x) V_{N lam2} (x) V_{N lam3} has an invariant, and
+    # N = rank + 1 (the index of the root lattice) always suffices
+    from eigencones.cones import generate_inequalities, membership
+
+    R = build_root_system("A", rank)
+    S = generate_inequalities(R, 3, "levi")
+    weights = list(itertools.product(range(top + 1), repeat=rank))
+    for lams in itertools.product(weights, repeat=3):
+        found = saturated_search(R, list(lams), n_max=rank + 1)
+        assert membership(list(lams), S)[0] == (found is not None), lams
+
+# -- recorded snapshot --------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden" / "oracle-small.json"
+GOLDEN_GROUPS = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("G2", 2),
+                 ("B", 3), ("C", 3))
+
+
+def oracle_snapshot():
+    """Every public oracle answer on small weights, as plain JSON data.
+
+    Weights have coordinates <= 2 at rank <= 2 and <= 1 at rank 3; tensor
+    products run over all ordered pairs of them.  Invariant dimensions are
+    listed in enumeration order: every 3-slot tuple of {0,1}-coordinate
+    weights, then every 4-slot tuple at rank <= 2 and every sorted 4-slot
+    multiset at rank 3.
+    """
+    out = {}
+    for kind, rank in GOLDEN_GROUPS:
+        R = build_root_system(kind, rank)
+        top = 2 if rank <= 2 else 1
+        weights = list(itertools.product(range(top + 1), repeat=rank))
+        small = list(itertools.product(range(2), repeat=rank))
+        tables = [weight_multiplicities(R, lam) for lam in weights]
+        slots4 = (itertools.product(small, repeat=4) if rank <= 2
+                  else itertools.combinations_with_replacement(small, 4))
+        out[R.label] = {
+            "weights": weights,
+            "weyl_dim": [weyl_dim(R, lam) for lam in weights],
+            "dual": [dual_weight_coords(R, lam) for lam in weights],
+            "dim": [t.dim for t in tables],
+            "mults": [sorted(t.multiplicities.values()) for t in tables],
+            "tensor": [sorted(tensor_decompose(R, lam, mu).items())
+                       for lam in weights for mu in weights],
+            "invariant": [
+                invariant_dim(R, t) for t in itertools.chain(
+                    itertools.product(small, repeat=3), slots4)
+            ],
+        }
+    return json.loads(json.dumps(out))
+
+
+def test_oracle_matches_recorded_snapshot():
+    assert oracle_snapshot() == json.loads(GOLDEN.read_text())
+
+
+# -- boundary and self-checks -------------------------------------------------
+
+
+def test_multiplicity_rejects_a_vector_of_the_wrong_length():
+    table = weight_multiplicities(C2, (1, 0))
+    with pytest.raises(UsageError):
+        table.multiplicity((0, 0, 0))
+
+
+def test_multiplicity_off_the_weight_lattice_is_zero():
+    table = weight_multiplicities(C2, (0, 1))
+    half = Fraction(1, 2)
+    assert table.multiplicity((half, half)) == 0  # fw coordinates (0, 1/2)
+    assert table.multiplicity((half, -half)) == 0  # fw coordinates (1, -1/2)
+    # (1, 1, 1) has fw coordinates (0, 0) but lies off the root span of A2
+    A2 = build_root_system("A", 2)
+    adjoint = weight_multiplicities(A2, (1, 1))
+    assert adjoint.multiplicity((0, 0, 0)) == 2
+    assert adjoint.multiplicity((1, 1, 1)) == 0
+
+
+def test_failed_dimension_sum_is_a_verification_error(monkeypatch):
+    monkeypatch.setattr(oracle, "_table_memo", {})
+    real = oracle.weyl_dim
+    monkeypatch.setattr(oracle, "weyl_dim", lambda R, lam: real(R, lam) + 1)
+    with pytest.raises(VerificationError, match="sums to"):
+        weight_multiplicities(C2, (1, 1))
+
+
+def test_failed_freudenthal_denominator_is_a_verification_error(monkeypatch):
+    monkeypatch.setattr(oracle, "_table_memo", {})
+    monkeypatch.setattr(oracle, "_norm", lambda gram, v: 0)
+    with pytest.raises(VerificationError, match="denominator"):
+        weight_multiplicities(G2, (1, 0))

@@ -1,13 +1,15 @@
 """Cup products, chi characters, theta, Levi-movability, tuple streams."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from eigencones.errors import ResourceCapError, UsageError
+from eigencones.errors import ResourceCapError, UsageError, VerificationError
 from eigencones.rootsys import build_root_system
 from eigencones.schubert import (
     CohomClass,
+    FlagVariety,
     chevalley_multiply,
     divisor_element,
     flag_variety,
@@ -255,3 +257,10 @@ def test_cup_product_rejects_foreign_elements():
     R3 = build_root_system("C", 3)
     with pytest.raises(UsageError):
         FA.cup_product(identity(R3), identity(R3))
+
+
+def test_non_integral_theta_is_a_verification_error(monkeypatch):
+    FA = F("C", 2, 1)
+    monkeypatch.setattr(FlagVariety, "eval_xP", lambda self, weight: Fraction(1, 2))
+    with pytest.raises(VerificationError, match="theta"):
+        FA.theta((FA.unit_element(),))
