@@ -43,7 +43,7 @@ from .weyl import (
 )
 
 FORMATS = ("json", "csv", "table")
-ROOTS_RANK_CAP = 10  # the Fraction root closure: C10 about 3 s, C12 6 s on a 2-core VM
+ROOTS_RANK_CAP = 10  # bounds the report: about r^2 roots of r + 1 coordinates each
 
 
 def _parse_group(group, rank, words=True):
@@ -51,11 +51,9 @@ def _parse_group(group, rank, words=True):
     if group is None:
         raise UsageError("--group is required")
     kind = group.strip()
-    if kind in ("G2", "F4"):
-        rank = int(kind[1])
-    elif kind[-1:].isdigit():
-        head = kind.rstrip("0123456789")
-        tail = int(kind[len(head):])
+    if kind[-1:].isdigit():
+        head = kind if kind in ("G2", "F4") else kind.rstrip("0123456789")
+        tail = int(kind[1] if head == kind else kind[len(head):])
         if rank is not None and tail != rank:
             raise UsageError(f"group {group} conflicts with --rank {rank}")
         kind, rank = head, tail
@@ -105,14 +103,9 @@ def _report(args, **payload):
 def cmd_roots(args):
     R = _parse_group(args.group, args.rank, words=False)
     doc = root_system_to_json(R)
-    rows = [("index", "root")] + [
-        (i + 1, " ".join(str(c) for c in R.alpha_coords(a)))
-        for i, a in enumerate(R.positive_roots)
-    ]
-    lines = [f"{R.label}: {len(R.positive_roots)} positive roots"] + [
-        "  " + " ".join(str(int(c)) for c in R.alpha_coords(a))
-        for a in R.positive_roots
-    ]
+    alphas = [" ".join(map(str, a)) for a in R.root_alpha]
+    rows = [("index", "root")] + [(i + 1, a) for i, a in enumerate(alphas)]
+    lines = [f"{R.label}: {len(alphas)} positive roots"] + ["  " + a for a in alphas]
     _emit(_report(args, root_system=doc), args.format, rows, lines)
     return 0
 

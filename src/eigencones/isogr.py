@@ -145,7 +145,7 @@ def codim_jump_cross_check(I_M: IndexSet, r, k):
     chi_M = FM.chi_weight(w).ambient
     by_chi = sum(chi_G[:k]) - sum(chi_M[:k])
     if not by_formula == by_dims == by_chi:
-        raise UsageError(
+        raise VerificationError(
             f"codim jump mismatch: formula {by_formula}, dims {by_dims}, chi {by_chi}"
         )
     return by_formula

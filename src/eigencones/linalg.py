@@ -1,8 +1,8 @@
 """Tiny exact linear algebra over Fraction.
 
 Only what the root-system and Weyl machinery needs: vector arithmetic,
-inverses of matrices of rank <= 8, and clearing denominators so that the
-Weyl kernel works on ints.  Everything is tuples of Fractions or ints; no
+inverses of Cartan and Gram matrices, and clearing denominators so that
+the root rows and the Weyl kernel are ints.  Everything is tuples of Fractions or ints; no
 floats.
 """
 
@@ -27,19 +27,13 @@ def dot(a, b):
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 
 
-def mat_vec(m, v):
-    return tuple(dot(row, v) for row in m)
-
-
-def identity_mat(n):
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
 def mat_inv(m):
-    """Gauss-Jordan inverse; raises ValueError on a singular input."""
+    """Gauss-Jordan inverse over Fraction; raises ValueError on a singular input."""
     n = len(m)
-    aug = [list(row) + list(identity_mat(n)[i]) for i, row in enumerate(m)]
+    aug = [
+        list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(m)
+    ]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:

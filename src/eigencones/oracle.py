@@ -9,10 +9,10 @@ n = 3 query costs two character tables and |W| reflections per weight.
 Weights are int tuples in fundamental-weight (fw) coordinates.  The simple
 root alpha_i is row i of the Cartan matrix, so s_i sends lam to
 lam - lam_i * C[i], a weight is dominant when no coordinate is negative,
-and rho is (1, ..., 1).  Positive roots and their coroot coefficients are
-int rows, and the invariant form is the fw Gram matrix cleared to ints: a
-positive multiple of the Killing form, which scales both sides of
-Freudenthal's formula alike.  A character table is keyed by dominant fw
+and rho is (1, ..., 1).  Positive roots, their coroot coefficients and the
+invariant form are the root system's int rows; the form is the fw Gram
+matrix cleared to ints, a positive multiple of the Killing form, which
+scales both sides of Freudenthal's formula alike.  A character table is keyed by dominant fw
 coordinates.  Fraction is left to the boundary: parsing input, the
 lambda - w0 lambda box (once per table) and CharacterTable.multiplicity,
 which takes an epsilon vector.
@@ -27,33 +27,20 @@ from operator import add, mul, sub
 
 from .errors import ResourceCapError, UsageError, VerificationError
 from .rootsys import RootSystem, Weight
-from .weyl import _ctx as _weyl_ctx, generate_weyl_group, longest_element
+from .weyl import generate_weyl_group, longest_element
 
 DIM_CAP = 1_000_000
 
 _table_memo = {}
 
 
-class _Data:
-    """Int data of one root system in fw coordinates (see the module doc)."""
-
-    def __init__(self, R):
-        ctx = _weyl_ctx(R)
-        self.roots = ctx.pos_fw
-        # <lam, beta^vee> = coroot row . lam, since <w_j, beta^vee> = row[j]
-        self.coroots = tuple(
-            tuple(int(R.coroot_pairing(w, b)) for w in R.fundamental_weights)
-            for b in R.positive_roots
-        )
-        self.heights = tuple(int(R.root_height(b)) for b in R.positive_roots)
-        self.gram = ctx.weight_gram
-        # (x, beta) = x . form row of beta
-        self.forms = tuple(
-            tuple(sum(map(mul, row, b)) for row in self.gram) for b in self.roots
-        )
-
-
-_data = lru_cache(maxsize=None)(_Data)
+@lru_cache(maxsize=None)
+def _forms(R):
+    """Per positive root, its height and its row of (x, beta) = x . row."""
+    return tuple(
+        (sum(a), tuple(sum(map(mul, row, b)) for row in R.weight_gram))
+        for a, b in zip(R.root_alpha, R.root_fw)
+    )
 
 
 def _fw_coords(R, lam):
@@ -97,7 +84,7 @@ def weyl_dim(R: RootSystem, lam):
     """Dimension of the irreducible with highest weight lam."""
     coords = _fw_coords(R, lam)
     num = den = 1
-    for c in _data(R).coroots:
+    for c in R.root_coroot:  # <lam, beta^vee> = c . lam
         rho_c = sum(c)
         num *= sum(map(mul, c, coords)) + rho_c
         den *= rho_c
@@ -156,7 +143,6 @@ def weight_multiplicities(R: RootSystem, lam, dim_cap=DIM_CAP) -> CharacterTable
             f"dim {total} exceeds character table cap {dim_cap}", cap=dim_cap
         )
 
-    d = _data(R)
     C = R.cartan_matrix
     drop = R.alpha_coords(R.from_fw(tuple(
         map(sub, coords, longest_element(R).apply_fw(coords))
@@ -174,17 +160,17 @@ def weight_multiplicities(R: RootSystem, lam, dim_cap=DIM_CAP) -> CharacterTable
     dominant = sorted(((v, h) for v, h in box if min(v) >= 0),
                       key=lambda t: t[1])
 
-    lam_rho_sq = _norm(d.gram, tuple(x + 1 for x in coords))
+    lam_rho_sq = _norm(R.weight_gram, tuple(x + 1 for x in coords))
     mult = {}
     for mu, depth in dominant:
         if mu == coords:
             mult[mu] = 1
             continue
-        denom = lam_rho_sq - _norm(d.gram, tuple(x + 1 for x in mu))
+        denom = lam_rho_sq - _norm(R.weight_gram, tuple(x + 1 for x in mu))
         if denom <= 0:
             raise VerificationError(f"Freudenthal denominator {denom} at {mu}")
         acc = 0
-        for alpha, form, height in zip(d.roots, d.forms, d.heights):
+        for alpha, (height, form) in zip(R.root_fw, _forms(R)):
             base = sum(map(mul, mu, form))
             step = sum(map(mul, alpha, form))
             shifted = mu

@@ -1,10 +1,14 @@
 """Exact root-system data in Bourbaki coordinates.
 
-Types A, B, C, D, G2, F4 are realized by explicit rational simple-root
-vectors in an ambient Euclidean space (the epsilon-basis).  The invariant
-form is the Euclidean one rescaled so that the highest root theta has
-squared length 2; with that normalization all pairings appearing in the
-eigencone inequalities are exact rationals.
+The positive roots are built on ints from the Cartan matrix, in simple-root
+coordinates, and each carries int rows that every layer reads: its
+fundamental-weight coordinates and its coroot over the simple coroots.
+Types A, B, C, D, G2, F4 are also realized by explicit rational simple-root
+vectors in an ambient Euclidean space (the epsilon-basis); epsilon
+coordinates of roots and weights are a view for reports and the epsilon
+API.  The invariant form is the Euclidean one rescaled so that the highest
+root theta has squared length 2; with that normalization all pairings
+appearing in the eigencone inequalities are exact rationals.
 
 Also houses the sub-root-system embeddings: the Sp(2s) x Sp(2(r-s)) family
 inside Sp(2r), the odd-orthogonal chain, the long-root SL2 inside G2, and
@@ -20,9 +24,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import ConfigurationError, UsageError
-from .linalg import dot, mat_inv, mat_vec, vadd, vec, vscale
+from .linalg import dot, integer_multiple, mat_inv, vadd, vec, vscale
 
 SCHEMA_VERSION = 1
 
@@ -90,14 +95,20 @@ class RootSystem:
     rank: int
     ambient_dim: int
     simple_roots: tuple            # epsilon coordinates
-    positive_roots: tuple          # height-then-lex order
+    positive_roots: tuple          # epsilon view of root_alpha
     cartan_matrix: tuple           # C[i][j] = <alpha_i, alpha_j^vee>
     fundamental_weights: tuple     # epsilon coordinates
     killing_scale: Fraction        # <u,v> = scale * (u . v)
     highest_root: tuple
     rho: tuple
     dual_basis: tuple              # x_i, Killing-identified, epsilon coords
-    _alpha_solve: tuple = field(repr=False)   # maps epsilon -> simple-root coords
+    cartan_inverse: tuple          # Fractions; row i is omega_i over the simple roots
+    # int rows, one per positive root in positive_roots order
+    root_alpha: tuple              # over the simple roots, height-then-lex order
+    root_fw: tuple                 # fundamental-weight coordinates, a . C
+    root_coroot: tuple             # the coroot over the simple coroots
+    weight_gram: tuple             # ints: a positive multiple of (omega_i, omega_j)
+    _index: dict = field(repr=False)  # epsilon positive root -> its position
 
     # -- pairings ---------------------------------------------------------
 
@@ -113,7 +124,8 @@ class RootSystem:
 
     def alpha_coords(self, v):
         """Coordinates of v over the simple roots (v must lie in their span)."""
-        return mat_vec(self._alpha_solve, v)
+        fw = self.fw_coords(v)
+        return tuple(dot(fw, col) for col in zip(*self.cartan_inverse))
 
     def fw_coords(self, v):
         """Fundamental-weight coordinates: j-th entry is v on alpha_j's coroot."""
@@ -127,23 +139,17 @@ class RootSystem:
             out = vadd(out, vscale(c, w))
         return out
 
+    def root_index(self, v):
+        """Position in positive_roots of whichever of +-v is there, else None."""
+        v = tuple(v)
+        i = self._index.get(v)
+        return self._index.get(tuple(-x for x in v)) if i is None else i
+
     def is_root(self, v):
-        return tuple(v) in self._root_set()
-
-    def _root_set(self):
-        # positive_roots and negatives as a frozenset; cheap to rebuild, cached
-        if not hasattr(self, "_roots_cache"):
-            all_roots = frozenset(self.positive_roots) | frozenset(
-                tuple(vscale(-1, b)) for b in self.positive_roots
-            )
-            object.__setattr__(self, "_roots_cache", all_roots)
-        return self._roots_cache
-
-    def root_height(self, beta):
-        return sum(self.alpha_coords(beta))
+        return self.root_index(v) is not None
 
     def is_positive_root(self, v):
-        return tuple(v) in frozenset(self.positive_roots)
+        return tuple(v) in self._index
 
     @property
     def label(self):
@@ -200,73 +206,79 @@ def killing_pairing(R, a, b):
     return R.killing(_as_epsilon(R, a), _as_epsilon(R, b))
 
 
+def _positive_alpha_coords(C):
+    """Positive roots over the simple roots, in height-then-lex order.
+
+    s_i a = a - <a, alpha_i^vee> alpha_i with <a, alpha_i^vee> = sum_j a_j
+    C[j][i] permutes the positive roots other than alpha_i, and every
+    positive root of height h > 1 is s_i of one of height < h, so closing the
+    simple roots under these moves reaches them all (Bourbaki VI.1.6).
+    """
+    r = len(C)
+    simples = [tuple(int(j == i) for j in range(r)) for i in range(r)]
+    roots = set(simples)
+    frontier = simples
+    while frontier:
+        new = []
+        for a in frontier:
+            for i in range(r):
+                p = sum(a[j] * C[j][i] for j in range(r))
+                if p and a != simples[i]:
+                    b = a[:i] + (a[i] - p,) + a[i + 1:]
+                    if b not in roots:
+                        roots.add(b)
+                        new.append(b)
+        frontier = new
+    return tuple(sorted(roots, key=lambda a: (sum(a), a)))
+
+
 @lru_cache(maxsize=None)
 def build_root_system(kind, rank):
     _validate_kind_rank(kind, rank)
     simples = tuple(_simple_root_vectors(kind, rank))
     n = len(simples[0])
-
-    # reflection closure from the simple roots (Euclidean reflections; the
-    # normalization scale drops out of every reflection formula)
-    roots = set(simples) | {tuple(vscale(-1, a)) for a in simples}
-    frontier = set(roots)
-    while frontier:
-        new = set()
-        for v in frontier:
-            for a in simples:
-                w = tuple(x - 2 * dot(v, a) / dot(a, a) * ai for x, ai in zip(v, a))
-                if w not in roots:
-                    new.add(w)
-        roots |= new
-        frontier = new
-
-    gram = tuple(tuple(dot(a, b) for b in simples) for a in simples)
-    alpha_solve = tuple(
-        tuple(row)
-        for row in _mat_mul_rect(mat_inv(gram), simples)
-    )
-
-    def acoords(v):
-        return mat_vec(alpha_solve, v)
-
-    positives = []
-    for v in roots:
-        a = acoords(v)
-        if all(x >= 0 for x in a):
-            if not all(Fraction(x).denominator == 1 for x in a):
-                raise ConfigurationError("non-integral root coordinates")
-            positives.append((sum(a), tuple(a), v))
-    positives.sort(key=lambda t: (t[0], t[1]))
-    expected = _COUNTS[kind](rank)
-    if len(positives) != expected:
-        raise ConfigurationError(
-            f"{kind}{rank}: found {len(positives)} positive roots, expected {expected}"
-        )
-    pos_roots = tuple(v for _, _, v in positives)
-    theta = pos_roots[-1]  # unique maximal height
-    scale = Fraction(2) / dot(theta, theta)
-
     cartan = tuple(
         tuple(int(2 * dot(a, b) / dot(b, b)) for b in simples) for a in simples
     )
-    cartan_inv = mat_inv(tuple(tuple(Fraction(x) for x in row) for row in cartan))
-    fws = []
-    for i in range(rank):
-        w = tuple(Fraction(0) for _ in range(n))
-        for k in range(rank):
-            w = vadd(w, vscale(cartan_inv[i][k], simples[k]))
-        fws.append(w)
-    fws = tuple(fws)
+    alphas = _positive_alpha_coords(cartan)
+    expected = _COUNTS[kind](rank)
+    if len(alphas) != expected:
+        raise ConfigurationError(
+            f"{kind}{rank}: found {len(alphas)} positive roots, expected {expected}"
+        )
+    # epsilon coordinates are a view: row . (alpha_1, ..., alpha_r) / d
+    d_eps, eps_int = integer_multiple(simples)
+    eps_cols = tuple(zip(*eps_int))
 
-    rho = tuple(Fraction(0) for _ in range(n))
-    for v in pos_roots:
-        rho = vadd(rho, v)
-    rho = vscale(Fraction(1, 2), rho)
+    def view(rows, d):
+        return tuple(
+            tuple(Fraction(sum(map(mul, row, col)), d) for col in eps_cols) for row in rows
+        )
+
+    pos_roots = view(alphas, d_eps)
+    theta = pos_roots[-1]  # unique maximal height
+    scale = Fraction(2) / dot(theta, theta)
+
+    cartan_inv = mat_inv(cartan)
+    d_inv, inv_int = integer_multiple(cartan_inv)
+    fws = view(inv_int, d_inv * d_eps)
+    rho = view([tuple(map(sum, zip(*alphas)))], 2 * d_eps)[0]
 
     # x_i: the Killing-dual of the functional with alpha_j(x_i) = delta_ij
     dual_basis = tuple(
         vscale(Fraction(2) / (scale * dot(a, a)), w) for a, w in zip(simples, fws)
     )
+
+    # <a, alpha_j^vee> = sum_k a_k C[k][j]; with |alpha_k|^2 = norms[k] up to
+    # one scale, 2 |beta|^2 = sum_j a_j fw_j norms[j] and the coroot of beta
+    # is sum_k (2 a_k norms[k] / 2 |beta|^2) alpha_k^vee
+    root_fw = tuple(tuple(sum(map(mul, a, col)) for col in zip(*cartan)) for a in alphas)
+    _, (norms,) = integer_multiple([[dot(a, a) for a in simples]])
+    root_coroot = []
+    for a, fw in zip(alphas, root_fw):
+        sq = sum(map(mul, map(mul, a, fw), norms))
+        root_coroot.append(tuple(2 * x * m // sq for x, m in zip(a, norms)))
+    _, weight_gram = integer_multiple([[dot(u, v) for v in fws] for u in fws])
 
     R = RootSystem(
         kind=kind,
@@ -280,16 +292,15 @@ def build_root_system(kind, rank):
         highest_root=theta,
         rho=rho,
         dual_basis=dual_basis,
-        _alpha_solve=alpha_solve,
+        cartan_inverse=cartan_inv,
+        root_alpha=alphas,
+        root_fw=root_fw,
+        root_coroot=tuple(root_coroot),
+        weight_gram=weight_gram,
+        _index={b: k for k, b in enumerate(pos_roots)},
     )
     _check_root_system(R)
     return R
-
-
-def _mat_mul_rect(a, b_rows):
-    # a: r x r, b_rows: r rows each of length n -> r x n
-    cols = tuple(zip(*b_rows))
-    return [[dot(row, col) for col in cols] for row in a]
 
 
 def _check_root_system(R):
@@ -311,7 +322,8 @@ def _check_root_system(R):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# equality and hashing by identity, as for RootSystem: build_embedding is cached
+@dataclass(frozen=True, eq=False)
 class SubsystemEmbedding:
     """An isometric embedding of root data, sub into ambient.
 
@@ -399,10 +411,18 @@ def _eps(n, i, coeff=1):
     return tuple(Fraction(coeff) if j == i - 1 else Fraction(0) for j in range(n))
 
 
+def _params(case, params, *names):
+    missing = [k for k in names if k not in params]
+    if missing:
+        raise ConfigurationError(f"{case} needs the parameter {missing[0]}")
+    return tuple(params[k] for k in names)
+
+
+@lru_cache(maxsize=None)
 def build_embedding(case, **params):
     case = case.lower()
     if case == "c-in-c":
-        r, s = params["r"], params["s"]
+        r, s = _params(case, params, "r", "s")
         if not 1 <= s < r:
             raise ConfigurationError("c-in-c needs 1 <= s < r")
         amb = build_root_system("C", r)
@@ -420,7 +440,7 @@ def build_embedding(case, **params):
             case, amb, sub, orbits, [(k, k) for k in range(1, s + 1)], second=second
         )
     if case == "b-in-b":
-        r, s = params["r"], params["s"]
+        r, s = _params(case, params, "r", "s")
         if not 1 <= s < r:
             raise ConfigurationError("b-in-b needs 1 <= s < r")
         amb = build_root_system("B", r)
@@ -440,7 +460,7 @@ def build_embedding(case, **params):
     if case == "g2-in-f4":
         return _build_g2_in_f4()
     if case == "d-chain":
-        r = params["r"]
+        (r,) = _params(case, params, "r")
         if r < 3:
             raise ConfigurationError("d-chain needs r >= 3")
         amb = build_root_system("D", r)
@@ -455,7 +475,7 @@ def build_embedding(case, **params):
         )
         return _make_embedding(case, amb, sub, orbits, [(k, k) for k in range(1, r - 1)])
     if case == "identity":
-        amb = build_root_system(params["kind"], params["rank"])
+        amb = build_root_system(*_params(case, params, "kind", "rank"))
         orbits = [(a,) for a in amb.simple_roots]
         return _make_embedding(case, amb, amb, orbits, [(k, k) for k in range(1, amb.rank + 1)])
     raise ConfigurationError(f"unknown embedding case {case!r}")

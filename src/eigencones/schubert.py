@@ -29,7 +29,6 @@ from .errors import ResourceCapError, UsageError, VerificationError
 from .rootsys import RootSystem, Weight
 from .weyl import (
     ParabolicSpec,
-    _ctx,
     dual_rep,
     identity,
     minimal_coset_reps,
@@ -62,11 +61,11 @@ class FlagVariety:
             )
         self.by_codim = by_codim
         # positive roots outside the Levi, in epsilon and in int fw coordinates
-        fw = dict(zip(R.positive_roots, _ctx(R).pos_fw))
-        levi = [fw[b] for b in R.positive_roots if R.alpha_coords(b)[excluded - 1] == 0]
-        self._outside = tuple(b for b in R.positive_roots if fw[b] not in levi)
-        self._outside_fw = tuple(fw[b] for b in self._outside)
-        self._positive_fw = frozenset(fw.values())
+        outside = [a[excluded - 1] != 0 for a in R.root_alpha]
+        levi = [fw for fw, out in zip(R.root_fw, outside) if not out]
+        self._outside = tuple(b for b, out in zip(R.positive_roots, outside) if out)
+        self._outside_fw = tuple(fw for fw, out in zip(R.root_fw, outside) if out)
+        self._positive_fw = frozenset(R.root_fw)
         self._levi_sum = tuple(map(sum, zip((0,) * R.rank, *levi)))  # 2 rho^L
         self._tables = None
         self._chi = {}
@@ -99,11 +98,8 @@ class FlagVariety:
             return self._tables
         R = self.root_system
         values = {}  # fw coordinates of a root -> its value at the generic point
-        for b, fw in zip(R.positive_roots, _ctx(R).pos_fw):
-            val = sum(
-                int(c) * _GENERIC_BASE ** (j + 1)
-                for j, c in enumerate(R.alpha_coords(b))
-            )
+        for a, fw in zip(R.root_alpha, R.root_fw):
+            val = sum(c * _GENERIC_BASE ** (j + 1) for j, c in enumerate(a))
             if val == 0:
                 raise VerificationError("generic point vanished on a root")
             values[fw] = val
@@ -331,14 +327,13 @@ def chevalley_multiply(F, i, c: CohomClass):
     if c.variety is not F:
         raise UsageError("class is over a different variety")
     R = F.root_system
-    omega = R.fundamental_weights[i - 1]
     out = {}
     for w_spec, coeff in c.coeffs.items():
         wb = F.dual(w_spec)  # length-indexed avatar
         for b in F._outside:
             u = wb * _reflection_cached(R, b)
             if u.length == wb.length + 1 and u in F.index:
-                mult = R.coroot_pairing(omega, b)
+                mult = R.root_coroot[R.root_index(b)][i - 1]  # <omega_i, b^vee>
                 if mult:
                     tgt = F.dual(u)
                     out[tgt] = out.get(tgt, 0) + coeff * mult
@@ -375,7 +370,7 @@ def point_product_tuples(F, n, filter="point", tuple_cap=TUPLE_CAP):
     if filter not in ("all", "point", "levi"):
         raise UsageError(f"unknown filter {filter!r}")
     count = 0
-    for ws in _graded_tuples(F, n, tuple_cap):
+    for ws in _graded_tuples(F, n):
         count += 1
         if count > tuple_cap:
             raise ResourceCapError(
@@ -391,7 +386,7 @@ def point_product_tuples(F, n, filter="point", tuple_cap=TUPLE_CAP):
         yield PointTuple(ws, m, th)
 
 
-def _graded_tuples(F, n, cap):
+def _graded_tuples(F, n):
     dim = F.dim
     partial = []
 
@@ -400,7 +395,6 @@ def _graded_tuples(F, n, cap):
             if start_from_codim_sum == dim:
                 yield tuple(partial)
             return
-        remaining_max = slots_left * dim
         for w in F.basis:
             c = F.codim(w)
             s = start_from_codim_sum + c

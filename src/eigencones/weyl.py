@@ -9,11 +9,12 @@ Element operations work on Python ints.  A root is positive exactly when
 its height is, so one int row per element (a positive multiple of the
 height functional pulled back through the matrix, applied to a root's
 fundamental-weight coordinates) decides sends_positive, the descents of the
-canonical word and the length, which is computed only when read.  The
-inverse is K^-1 w^T K for the fundamental-weight Gram matrix K, whose
-inverse is the simple-coroot Gram matrix; both are cleared to ints once per
-root system.  apply_eps clears the vector's denominators and divides once
-per coordinate.
+canonical word and the length, which is computed only when read.  Root
+rows come from the root system.  The inverse is K^-1 w^T K for the root
+system's int fundamental-weight Gram matrix K, whose inverse (the
+simple-coroot Gram matrix, up to scale) is cleared to ints once per root
+system.  apply_eps clears the vector's denominators and divides once per
+coordinate.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import ConfigurationError, ResourceCapError, UsageError, VerificationError
-from .linalg import dot, integer_multiple
-from .rootsys import Weight
+from .linalg import dot, integer_multiple, mat_inv
 
 WEYL_SIZE_CAP = 1_200_000
 
@@ -46,7 +46,7 @@ class WeylElement:
     def length(self):
         if self._length is None:
             h = self._height_row()
-            self._length = sum(not _is_positive(h, b) for b in _ctx(self.root_system).pos_fw)
+            self._length = sum(not _is_positive(h, b) for b in self.root_system.root_fw)
         return self._length
 
     @property
@@ -73,15 +73,12 @@ class WeylElement:
     def inverse(self):
         ctx = _ctx(self.root_system)
         m = _mat_mul_int(ctx.coroot_gram, tuple(zip(*self.matrix)))
-        m = _mat_mul_int(m, ctx.weight_gram)
+        m = _mat_mul_int(m, self.root_system.weight_gram)
         m = tuple(tuple(x // ctx.gram_scale for x in row) for row in m)
         return WeylElement(self.root_system, m, self._length)
 
     def apply_fw(self, coords):
         return tuple(sum(map(mul, row, coords)) for row in self.matrix)
-
-    def apply(self, w: Weight) -> Weight:
-        return Weight(self.root_system, self.apply_fw(w.coords))
 
     def apply_eps(self, v):
         """Action on an ambient vector lying in the root span."""
@@ -111,25 +108,16 @@ class _Context:
 
     def __init__(self, R):
         r = R.rank
-        C = R.cartan_matrix
-        self.refl = tuple(_simple_matrix(C, i) for i in range(r))
-        self.pos_fw = tuple(
-            tuple(int(x) for x in R.fw_coords(b)) for b in R.positive_roots
-        )
-        _, (self.height,) = integer_multiple(
-            [[sum(R.alpha_coords(w)) for w in R.fundamental_weights]]
-        )  # a positive multiple of the height, over fw coordinates
-        coroots = [tuple(2 * x / dot(a, a) for x in a) for a in R.simple_roots]
-        d1, self.coroot_gram = integer_multiple(
-            [[dot(a, b) for b in coroots] for a in coroots]
-        )
-        d2, self.weight_gram = integer_multiple(
-            [[dot(u, v) for v in R.fundamental_weights] for u in R.fundamental_weights]
-        )
-        self.gram_scale = d1 * d2
+        self.refl = tuple(_simple_matrix(R.cartan_matrix, i) for i in range(r))
+        # a positive multiple of the height, over fw coordinates
+        _, (self.height,) = integer_multiple([[sum(row) for row in R.cartan_inverse]])
+        # the simple-coroot Gram matrix inverts the fw one
+        self.gram_scale, self.coroot_gram = integer_multiple(mat_inv(R.weight_gram))
         # epsilon -> fw coordinates pairs with the coroots; fw -> epsilon
         # sums the fundamental weights, held here as columns
-        d3, self.coroots = integer_multiple(coroots)
+        d3, self.coroots = integer_multiple(
+            [[2 * x / dot(a, a) for x in a] for a in R.simple_roots]
+        )
         d4, self.weights = integer_multiple(tuple(zip(*R.fundamental_weights)))
         self.eps_scale = d3 * d4
         self.id_matrix = tuple(
@@ -199,18 +187,13 @@ def simple_reflection(R, i):
 
 def reflection(R, beta):
     """The reflection through an arbitrary root beta (epsilon coordinates)."""
-    if not R.is_root(tuple(beta)):
+    k = R.root_index(beta)
+    if k is None:
         raise UsageError("not a root")
-    fw = R.fw_coords(beta)
-    a = R.alpha_coords(beta)
-    nb = sum(x * y for x, y in zip(beta, beta))
-    cvee = [
-        ai * sum(x * y for x, y in zip(R.simple_roots[k], R.simple_roots[k])) / nb
-        for k, ai in enumerate(a)
-    ]  # coroot coefficients of beta over the simple coroots
+    fw, cvee = R.root_fw[k], R.root_coroot[k]  # the same for -beta
     r = R.rank
     m = tuple(
-        tuple(int((1 if j == k else 0) - fw[j] * cvee[k]) for k in range(r))
+        tuple((1 if j == i else 0) - fw[j] * cvee[i] for i in range(r))
         for j in range(r)
     )
     return WeylElement(R, m)

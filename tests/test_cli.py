@@ -1,9 +1,13 @@
 """CLI dispatch, exit codes, formats, determinism, cache coherence."""
 
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eigencones.cache import JsonlStore
 from eigencones.cli import main
@@ -38,6 +42,26 @@ def test_group_parsing_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "roots", "--group", "E6")
     assert code == 2
+
+
+@pytest.mark.parametrize("group", ["G2", "F4"])
+def test_exceptional_group_conflicting_rank_exits_2(group, capsys):
+    code, out, err = run(capsys, "cosets", "--group", group, "--rank", "3",
+                         "--parabolic", "1")
+    assert (code, out) == (2, "")
+    assert err == f"usage error: group {group} conflicts with --rank 3\n"
+    assert run(capsys, "roots", "--group", group, "--rank", group[1])[0] == 0
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (("--case", "c-in-c", "--r", "3"), "parameter s"),
+    (("--case", "identity"), "parameter kind"),
+    (("--case", "d-chain"), "parameter r"),
+])
+def test_missing_embedding_parameter_exits_2(argv, needle, capsys):
+    code, out, err = run(capsys, "verify", "thm-main", *argv)
+    assert (code, out) == (2, "")
+    assert needle in err and len(err.splitlines()) == 1
 
 
 def test_cosets_csv(capsys):
@@ -286,3 +310,66 @@ def test_failed_self_check_exits_1_with_one_line(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("verification failure: theta")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+# a bounded command-line alphabet: groups, --r and --n stay at rank and
+# arity 3 or below, so that each example runs in under a second
+GROUPS = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2", "C", "B", "F",
+          "E6", "A0", "")
+VALUES = {
+    "--group": GROUPS + ("C",) * 3,
+    "--rank": ("1", "2", "3", "0", "-1", "4"),
+    "--parabolic": ("1", "2", "3", "0", "4"),
+    "--n": ("1", "2", "3", "0", "-1"),
+    "--r": ("1", "2", "3", "0", "-2"),
+    "--s": ("1", "2", "3", "0", "-1"),
+    "--tier": ("nonzero", "point", "levi"),
+    "--tuple-cap": ("0", "1", "5"),
+    "--words": ("1,2", "e,1", "12,21", "21,121", "2,212", "1", "x,1", ",", "0,1"),
+    "--weights": ("0,0;0,0;0,0", "1,0;1,0;0,1", "1,1,2", "0,1,0;0,1,0;2,0,0",
+                  "1/0,0;1,0;0,1", "a", "", ";;"),
+    "--case": ("c-in-c", "b-in-b", "sl2-in-g2", "g2-in-f4", "d-chain",
+               "identity", "C-IN-C", "bogus"),
+    "--format": ("json", "csv", "table"),
+}
+GROUP_FLAGS = ("--group", "--rank", "--format")
+SYSTEM_FLAGS = GROUP_FLAGS + ("--n", "--tier", "--tuple-cap")
+COMMANDS = {
+    ("roots",): GROUP_FLAGS,
+    ("cosets",): GROUP_FLAGS + ("--parabolic",),
+    ("multiply",): GROUP_FLAGS + ("--parabolic", "--words"),
+    ("inequalities",): SYSTEM_FLAGS,
+    ("membership",): SYSTEM_FLAGS + ("--weights",),
+    ("verify", "thm-main"): ("--case", "--r", "--s", "--n", "--format"),
+    ("verify", "thm-proj"): ("--r", "--s", "--n", "--group", "--format"),
+    ("tables", "g2f4"): ("--format",),
+    ("tables", "index"): GROUP_FLAGS + ("--parabolic",),
+    ("tables", "orbits"): ("--r", "--format"),
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = draw(st.lists(st.sampled_from(COMMANDS[command]), unique=True))
+    argv = list(command)
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(VALUES[flag]))]
+    return argv
+
+
+@given(command_lines())
+@example(["verify", "thm-main", "--case", "c-in-c", "--r", "3"])
+@example(["verify", "thm-main", "--case", "identity"])
+@example(["cosets", "--group", "G2", "--rank", "3", "--parabolic", "1"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_no_command_line_escapes_main(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejected the command line
+            assert e.code == 2, argv
+            return
+    assert code in (0, 1, 2, 3), argv
+    assert len(err.getvalue().splitlines()) <= 1, argv

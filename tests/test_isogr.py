@@ -301,3 +301,10 @@ def test_broken_index_dictionary_is_a_verification_error(monkeypatch):
     monkeypatch.setattr(isogr, "dim_from_index", lambda I: -1)
     with pytest.raises(VerificationError, match="index dictionary"):
         weyl_index_bijection(FC(2, 1))
+
+
+def test_codim_jump_disagreement_is_a_verification_error(monkeypatch):
+    # the formula, dimension and character routes are an internal self-check
+    monkeypatch.setattr(isogr, "codim_jump", lambda I_M, r, s: -1)
+    with pytest.raises(VerificationError, match="codim jump mismatch"):
+        codim_jump_cross_check(IndexSet((1,), 1), 2, 1)

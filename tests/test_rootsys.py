@@ -1,15 +1,19 @@
 """Root system construction, Killing normalization, and embeddings."""
 
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigencones.errors import ConfigurationError, UsageError
+from eigencones.linalg import dot, integer_multiple, mat_inv, vadd, vscale
 from eigencones.rootsys import (
     SubsystemEmbedding,
     Weight,
+    _simple_root_vectors,
     build_embedding,
     build_root_system,
     dumps,
@@ -126,6 +130,107 @@ def test_invalid_kind_rank():
         build_root_system("F4", 2)
 
 
+def reference_root_system(kind, rank):
+    """The epsilon-coordinate construction the int build replaced: close the
+    simple roots and their negatives under Euclidean reflections in Fraction
+    arithmetic, then solve for simple-root coordinates through the Gram
+    matrix.  Returns the fields that root_system_to_json reads."""
+    simples = tuple(_simple_root_vectors(kind, rank))
+    n = len(simples[0])
+    roots = set(simples) | {tuple(vscale(-1, a)) for a in simples}
+    frontier = set(roots)
+    while frontier:
+        new = set()
+        for v in frontier:
+            for a in simples:
+                w = tuple(x - 2 * dot(v, a) / dot(a, a) * ai for x, ai in zip(v, a))
+                if w not in roots:
+                    new.add(w)
+        roots |= new
+        frontier = new
+    gram_inv = mat_inv(tuple(tuple(dot(a, b) for b in simples) for a in simples))
+    solve = [[dot(row, col) for col in zip(*simples)] for row in gram_inv]
+    positives = []
+    for v in roots:
+        a = tuple(dot(row, v) for row in solve)
+        if all(x >= 0 for x in a):
+            positives.append((sum(a), a, v))
+    positives.sort(key=lambda t: (t[0], t[1]))
+    pos_roots = tuple(v for _, _, v in positives)
+    theta = pos_roots[-1]
+    scale = Fraction(2) / dot(theta, theta)
+    cartan = tuple(
+        tuple(int(2 * dot(a, b) / dot(b, b)) for b in simples) for a in simples
+    )
+    cartan_inv = mat_inv(cartan)
+    fws = []
+    for i in range(rank):
+        w = tuple(Fraction(0) for _ in range(n))
+        for k in range(rank):
+            w = vadd(w, vscale(cartan_inv[i][k], simples[k]))
+        fws.append(w)
+    rho = tuple(Fraction(0) for _ in range(n))
+    for v in pos_roots:
+        rho = vadd(rho, v)
+    return SimpleNamespace(
+        kind=kind,
+        rank=rank,
+        ambient_dim=n,
+        simple_roots=simples,
+        positive_roots=pos_roots,
+        root_alpha=tuple(a for _, a, _ in positives),
+        cartan_matrix=cartan,
+        fundamental_weights=tuple(fws),
+        killing_scale=scale,
+        highest_root=theta,
+        rho=vscale(Fraction(1, 2), rho),
+        dual_basis=tuple(
+            vscale(Fraction(2) / (scale * dot(a, a)), w) for a, w in zip(simples, fws)
+        ),
+    )
+
+
+REFERENCE_KINDS = [
+    (kind, r) for kind in "ABC" for r in range(1, 8)
+] + [("D", r) for r in range(3, 8)] + [("G2", 2), ("F4", 4)]
+
+
+@pytest.mark.parametrize("kind,rank", REFERENCE_KINDS)
+def test_int_build_matches_the_reflection_closure(kind, rank):
+    R = build_root_system(kind, rank)
+    ref = reference_root_system(kind, rank)
+    assert R.positive_roots == ref.positive_roots  # values and order
+    assert R.root_alpha == ref.root_alpha
+    for name in ("cartan_matrix", "fundamental_weights", "rho", "dual_basis",
+                 "highest_root", "killing_scale"):
+        assert getattr(R, name) == getattr(ref, name), name
+    assert dumps(root_system_to_json(R)) == dumps(root_system_to_json(ref))
+
+
+@pytest.mark.parametrize("kind,rank", REFERENCE_KINDS)
+def test_int_root_rows_match_the_epsilon_pairings(kind, rank):
+    R = build_root_system(kind, rank)
+    rows = zip(R.positive_roots, R.root_alpha, R.root_fw, R.root_coroot)
+    for beta, alpha, fw, coroot in rows:
+        assert alpha == R.alpha_coords(beta)
+        assert fw == R.fw_coords(beta)
+        assert coroot == tuple(
+            R.coroot_pairing(omega, beta) for omega in R.fundamental_weights
+        )
+        assert all(type(x) is int for x in alpha + fw + coroot)
+        assert R.root_index(beta) == R.root_index(vscale(-1, beta))
+        assert R.positive_roots[R.root_index(beta)] == beta
+    fws = R.fundamental_weights
+    assert R.weight_gram == integer_multiple([[dot(u, v) for v in fws] for u in fws])[1]
+    assert R.root_index(tuple(Fraction(0) for _ in range(R.ambient_dim))) is None
+
+
+def test_c12_builds_on_ints():
+    R = build_root_system("C", 12)
+    assert len(R.positive_roots) == 144
+    assert R.root_alpha[-1] == (2,) * 11 + (1,)
+
+
 def test_killing_pairing_dimension_mismatch():
     R = build_root_system("C", 2)
     with pytest.raises(UsageError):
@@ -136,7 +241,7 @@ def test_positive_root_order_deterministic():
     R1 = build_root_system("F4", 4)
     R2 = build_root_system("F4", 4)
     assert R1.positive_roots == R2.positive_roots
-    heights = [R1.root_height(b) for b in R1.positive_roots]
+    heights = [sum(R1.alpha_coords(b)) for b in R1.positive_roots]
     assert heights == sorted(heights)
 
 
@@ -250,6 +355,31 @@ def test_embedding_bad_params():
         build_embedding("c-in-c", r=3, s=3)
     with pytest.raises(ConfigurationError):
         build_embedding("no-such-case")
+
+
+@pytest.mark.parametrize("case,params,missing", [
+    ("c-in-c", {"r": 3}, "s"),
+    ("b-in-b", {"s": 1}, "r"),
+    ("d-chain", {}, "r"),
+    ("identity", {"kind": "C"}, "rank"),
+])
+def test_missing_embedding_parameter_is_a_configuration_error(case, params, missing):
+    with pytest.raises(ConfigurationError, match=f"parameter {missing}$"):
+        build_embedding(case, **params)
+
+
+def test_embeddings_are_cached_and_bad_calls_raise_every_time():
+    E = build_embedding("c-in-c", r=4, s=2)
+    assert build_embedding("c-in-c", r=4, s=2) is E
+    assert build_embedding("g2-in-f4") is build_embedding("g2-in-f4")
+    # identity, not value, equality: no hash over Fraction tuples
+    assert replace(E) != E
+    assert type(E).__hash__ is object.__hash__
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            build_embedding("c-in-c", r=3, s=3)
+        with pytest.raises(ConfigurationError):
+            build_embedding("c-in-c", r=3)
 
 
 def test_restrict_c_in_c():

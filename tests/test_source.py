@@ -1,5 +1,6 @@
-"""Source-level rules for the package: no bare asserts, no numpy, and no
-Fraction on the localization and theta hot paths."""
+"""Source-level rules for the package: no bare asserts, no numpy, no
+Fraction on the localization and theta hot paths, and Weyl's private
+context kept inside weyl."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,14 @@ def test_no_fraction_in_the_int_hot_paths(method):
              if isinstance(n, ast.FunctionDef) and n.name == method]
     names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
     assert "Fraction" not in names, f"Fraction in FlagVariety.{method}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "weyl.py"],
+                         ids=lambda p: p.name)
+def test_only_weyl_reads_its_context(path):
+    # root rows live on RootSystem; other layers read them there
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        names = {getattr(node, "id", None), getattr(node, "attr", None)}
+        if isinstance(node, ast.alias):
+            names |= {node.name, node.asname}
+        assert "_ctx" not in names, f"{path.name}:{getattr(node, 'lineno', '?')}"
