@@ -52,8 +52,11 @@ def _parse_group(group, rank, words=True):
         raise UsageError("--group is required")
     kind = group.strip()
     if kind[-1:].isdigit():
-        head = kind if kind in ("G2", "F4") else kind.rstrip("0123456789")
-        tail = int(kind[1] if head == kind else kind[len(head):])
+        if kind in ("G2", "F4"):
+            head, tail = kind, int(kind[1])
+        else:
+            head = kind.rstrip("0123456789")
+            tail = int(kind[len(head):])
         if rank is not None and tail != rank:
             raise UsageError(f"group {group} conflicts with --rank {rank}")
         kind, rank = head, tail

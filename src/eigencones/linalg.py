@@ -2,8 +2,8 @@
 
 Only what the root-system and Weyl machinery needs: vector arithmetic,
 inverses of Cartan and Gram matrices, and clearing denominators so that
-the root rows and the Weyl kernel are ints.  Everything is tuples of Fractions or ints; no
-floats.
+the root rows and the Weyl kernel are ints.  Everything is tuples of
+Fractions or ints; no floats.
 """
 
 from fractions import Fraction

@@ -12,10 +12,10 @@ lam - lam_i * C[i], a weight is dominant when no coordinate is negative,
 and rho is (1, ..., 1).  Positive roots, their coroot coefficients and the
 invariant form are the root system's int rows; the form is the fw Gram
 matrix cleared to ints, a positive multiple of the Killing form, which
-scales both sides of Freudenthal's formula alike.  A character table is keyed by dominant fw
-coordinates.  Fraction is left to the boundary: parsing input, the
-lambda - w0 lambda box (once per table) and CharacterTable.multiplicity,
-which takes an epsilon vector.
+scales both sides of Freudenthal's formula alike.  A character table is
+keyed by dominant fw coordinates.  Fraction is left to the boundary:
+parsing input, the lambda - w0 lambda box (once per table) and
+CharacterTable.multiplicity, which takes an epsilon vector.
 """
 
 from __future__ import annotations

@@ -212,7 +212,7 @@ def _positive_alpha_coords(C):
     s_i a = a - <a, alpha_i^vee> alpha_i with <a, alpha_i^vee> = sum_j a_j
     C[j][i] permutes the positive roots other than alpha_i, and every
     positive root of height h > 1 is s_i of one of height < h, so closing the
-    simple roots under these moves reaches them all (Bourbaki VI.1.6).
+    simple roots under these moves reaches them all (Bourbaki, Ch. VI §1).
     """
     r = len(C)
     simples = [tuple(int(j == i) for j in range(r)) for i in range(r)]
@@ -252,7 +252,8 @@ def build_root_system(kind, rank):
 
     def view(rows, d):
         return tuple(
-            tuple(Fraction(sum(map(mul, row, col)), d) for col in eps_cols) for row in rows
+            tuple(Fraction(sum(map(mul, row, col)), d) for col in eps_cols)
+            for row in rows
         )
 
     pos_roots = view(alphas, d_eps)

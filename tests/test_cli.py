@@ -317,7 +317,7 @@ def test_failed_self_check_exits_1_with_one_line(monkeypatch, capsys):
 GROUPS = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2", "C", "B", "F",
           "E6", "A0", "")
 VALUES = {
-    "--group": GROUPS + ("C",) * 3,
+    "--group": GROUPS,
     "--rank": ("1", "2", "3", "0", "-1", "4"),
     "--parabolic": ("1", "2", "3", "0", "4"),
     "--n": ("1", "2", "3", "0", "-1"),
