@@ -10,12 +10,12 @@ API.  The invariant form is the Euclidean one rescaled so that the highest
 root theta has squared length 2; with that normalization all pairings
 appearing in the eigencone inequalities are exact rationals.
 
-Also houses the sub-root-system embeddings: the Sp(2s) x Sp(2(r-s)) family
-inside Sp(2r), the odd-orthogonal chain, the long-root SL2 inside G2, and
-the G2 inside F4 obtained by folding a D4 subsystem.  For folded embeddings
-a sub simple root is represented by the *orbit* of pairwise orthogonal
-ambient roots it restricts from; the corresponding Weyl generator image is
-the product of the orbit's reflections (module weyl).
+Also houses the sub-root-system embeddings: Sp(2s) in Sp(2r), SO(2s+1) in
+SO(2r+1), SO(2r-3) in SO(2r) by folding, the long-root SL2 in G2, and G2 in
+F4 by folding a D4 subsystem.  A sub simple root is the *orbit* of pairwise
+orthogonal ambient positive roots it restricts from, each named by its
+simple-root row; the Weyl generator image is the product of the orbit's
+reflections (module weyl).  Epsilon orbits and images are a view.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from operator import mul
 
 from .errors import ConfigurationError, UsageError
@@ -144,9 +145,6 @@ class RootSystem:
         v = tuple(v)
         i = self._index.get(v)
         return self._index.get(tuple(-x for x in v)) if i is None else i
-
-    def is_root(self, v):
-        return self.root_index(v) is not None
 
     def is_positive_root(self, v):
         return tuple(v) in self._index
@@ -326,25 +324,24 @@ def _check_root_system(R):
 # equality and hashing by identity, as for RootSystem: build_embedding is cached
 @dataclass(frozen=True, eq=False)
 class SubsystemEmbedding:
-    """An isometric embedding of root data, sub into ambient.
+    """A conformal embedding of root data, sub into ambient.
 
-    orbits[i] is the tuple of pairwise orthogonal ambient roots whose
-    reflections multiply to the Weyl image of the i-th sub generator; for a
-    genuine sub-root-system the orbit is a singleton and its member is an
-    actual ambient root.  simple_images[i] is the orbit average, i.e. the
-    restricted root direction, with the sub's exact root length when the
-    embedding is isometric.
+    members[i] holds the positions in ambient.root_alpha of the pairwise
+    orthogonal positive roots whose reflections multiply to the Weyl image
+    of the i-th sub generator: one root, or a folded orbit.  The i-th image
+    direction is their average.  The images' Gram matrix is gram_scale
+    times the sub's: 1 (isometric) except where a sub long root lands on an
+    ambient short one, 1/2 for b-in-b with s = 1 and d-chain with r = 3.
+    orbits, simple_images and stages are epsilon views for reports.
     """
 
     case: str
     ambient: RootSystem
     sub: RootSystem
-    orbits: tuple
-    simple_images: tuple
+    members: tuple
     parabolic_map: tuple            # pairs (sub node, ambient node), 1-based
     gram_scale: Fraction
-    second: "SubsystemEmbedding | None" = None
-    stages: tuple = ()
+    stage_members: tuple = ()       # (label, positions) of intermediate subsystems
 
     def matched_parabolic(self, q):
         for a, b in self.parabolic_map:
@@ -354,151 +351,147 @@ class SubsystemEmbedding:
 
     def image_alpha_coords(self, i):
         """The i-th image direction over the ambient simple roots."""
-        return self.ambient.alpha_coords(self.simple_images[i])
+        return _average(self.ambient.root_alpha, self.members[i])
+
+    @property
+    def orbits(self):
+        return tuple(self._epsilon(orbit) for orbit in self.members)
+
+    @property
+    def simple_images(self):
+        return tuple(_average(self.ambient.positive_roots, o) for o in self.members)
+
+    @property
+    def stages(self):
+        return tuple((label, self._epsilon(ks)) for label, ks in self.stage_members)
+
+    def _epsilon(self, positions):
+        return tuple(self.ambient.positive_roots[k] for k in positions)
 
 
-def _make_embedding(case, ambient, sub, orbits, parabolic_map, second=None, stages=()):
-    images = []
-    for orbit in orbits:
-        for b in orbit:
-            if not ambient.is_root(b):
-                raise ConfigurationError(f"{case}: orbit member is not an ambient root")
-        for i in range(len(orbit)):
-            for j in range(i + 1, len(orbit)):
-                if dot(orbit[i], orbit[j]) != 0:
-                    raise ConfigurationError(f"{case}: orbit members not orthogonal")
-        s = orbit[0]
-        for b in orbit[1:]:
-            s = vadd(s, b)
-        images.append(vscale(Fraction(1, len(orbit)), s))
-    images = tuple(images)
+def _average(rows, positions):
+    return tuple(Fraction(sum(col), len(positions)) for col in zip(*(rows[k] for k in positions)))
 
-    # the images must reproduce the sub's Cartan matrix ...
-    for i, bi in enumerate(images):
-        for j, bj in enumerate(images):
-            cij = 2 * dot(bi, bj) / dot(bj, bj)
+
+def _gram(R, rows):
+    """The invariant form on fw rows, normalized so theta has squared length 2."""
+    G = R.weight_gram
+
+    def form(u, v):
+        return sum(x * sum(map(mul, g, v)) for x, g in zip(u, G))
+
+    theta = R.root_fw[-1]
+    return [[Fraction(2 * form(u, v)) / form(theta, theta) for v in rows] for u in rows]
+
+
+def _make_embedding(case, ambient, sub, orbits, parabolic_map, stages=()):
+    """Check and store an embedding whose orbits are simple-root rows."""
+    rows = ambient.root_alpha
+    try:
+        members = tuple(tuple(rows.index(a) for a in orbit) for orbit in orbits)
+        stage_members = tuple(
+            (label, tuple(rows.index(a) for a in roots)) for label, roots in stages
+        )
+    except ValueError:
+        raise ConfigurationError(f"{case}: a member is not an ambient positive root") from None
+    fw, coroot = ambient.root_fw, ambient.root_coroot
+    for orbit in members:
+        for a, b in combinations(orbit, 2):
+            if sum(map(mul, fw[a], coroot[b])) != 0:
+                raise ConfigurationError(f"{case}: orbit members not orthogonal")
+    images = [_average(fw, orbit) for orbit in members]
+
+    # the images must reproduce the sub's Cartan matrix: image i against the
+    # coroot of image j, which is the sum of orbit j's coroots ...
+    for i, image in enumerate(images):
+        for j, orbit in enumerate(members):
+            cij = sum(sum(map(mul, image, coroot[b])) for b in orbit)
             if cij != sub.cartan_matrix[i][j]:
                 raise ConfigurationError(f"{case}: Cartan integers of images do not match sub")
     # ... and the Gram matrix up to one global positive scalar
-    scale = None
-    for i, bi in enumerate(images):
-        for j, bj in enumerate(images):
-            amb = ambient.killing(bi, bj)
-            ref = sub.killing(sub.simple_roots[i], sub.simple_roots[j])
-            if ref != 0:
-                s = amb / ref
-                if scale is None:
-                    scale = s
-                elif s != scale:
-                    raise ConfigurationError(f"{case}: images are not conformal to sub")
-            elif amb != 0:
-                raise ConfigurationError(f"{case}: images are not conformal to sub")
-    if scale is None or scale <= 0:
+    pairs = [
+        (amb, ref)
+        for amb_row, ref_row in zip(_gram(ambient, images), _gram(sub, sub.cartan_matrix))
+        for amb, ref in zip(amb_row, ref_row)
+    ]
+    ratios = {amb / ref for amb, ref in pairs if ref != 0}
+    if len(ratios) != 1 or any(amb != 0 for amb, ref in pairs if ref == 0):
+        raise ConfigurationError(f"{case}: images are not conformal to sub")
+    (scale,) = ratios
+    if scale <= 0:
         raise ConfigurationError(f"{case}: degenerate image Gram matrix")
     return SubsystemEmbedding(
         case=case,
         ambient=ambient,
         sub=sub,
-        orbits=tuple(tuple(tuple(b) for b in o) for o in orbits),
-        simple_images=images,
+        members=members,
         parabolic_map=tuple(parabolic_map),
         gram_scale=scale,
-        second=second,
-        stages=tuple(stages),
+        stage_members=stage_members,
     )
 
 
-def _eps(n, i, coeff=1):
-    return tuple(Fraction(coeff) if j == i - 1 else Fraction(0) for j in range(n))
+def _simple(r, i):
+    """alpha_{i+1} over the simple roots of a rank-r system."""
+    return tuple(int(j == i) for j in range(r))
 
 
-def _params(case, params, *names):
-    missing = [k for k in names if k not in params]
-    if missing:
-        raise ConfigurationError(f"{case} needs the parameter {missing[0]}")
-    return tuple(params[k] for k in names)
+def _require(case, **params):
+    for name, value in params.items():
+        if value is None:
+            raise ConfigurationError(f"{case} needs the parameter {name}")
+
+
+def build_embedding(case, r=None, s=None):
+    """The named embedding; one cached object per (case, r, s)."""
+    return _build_embedding(case, r, s)
 
 
 @lru_cache(maxsize=None)
-def build_embedding(case, **params):
-    case = case.lower()
-    if case == "c-in-c":
-        r, s = _params(case, params, "r", "s")
+def _build_embedding(case, r, s):
+    if case in ("c-in-c", "b-in-b"):
+        _require(case, r=r, s=s)
         if not 1 <= s < r:
-            raise ConfigurationError("c-in-c needs 1 <= s < r")
-        amb = build_root_system("C", r)
-        sub = build_root_system("C", s)
-        orbits = [(amb.simple_roots[i],) for i in range(s - 1)]
-        orbits.append((_eps(r, s, 2),))  # 2 alpha_s + ... + 2 alpha_{r-1} + alpha_r
-        second = None
-        sub2 = build_root_system("C", r - s)
-        orbits2 = [(amb.simple_roots[i],) for i in range(s, r)]
-        second = _make_embedding(
-            "c-in-c-second", amb, sub2, orbits2,
-            [(k, s + k) for k in range(1, r - s + 1)],
-        )
+            raise ConfigurationError(f"{case} needs 1 <= s < r")
+        kind = case[0].upper()
+        amb = build_root_system(kind, r)
+        # the top sub simple root: 2e_s = 2 alpha_s + ... + 2 alpha_{r-1} +
+        # alpha_r in C_r, the short root e_s = alpha_s + ... + alpha_r in B_r
+        top = (0,) * (s - 1) + (2 if kind == "C" else 1,) * (r - s) + (1,)
+        orbits = [(_simple(r, i),) for i in range(s - 1)] + [(top,)]
         return _make_embedding(
-            case, amb, sub, orbits, [(k, k) for k in range(1, s + 1)], second=second
+            case, amb, build_root_system(kind, s), orbits, [(k, k) for k in range(1, s + 1)]
         )
-    if case == "b-in-b":
-        r, s = _params(case, params, "r", "s")
-        if not 1 <= s < r:
-            raise ConfigurationError("b-in-b needs 1 <= s < r")
-        amb = build_root_system("B", r)
-        sub = build_root_system("B", s) if s >= 2 else build_root_system("B", 1)
-        orbits = [(amb.simple_roots[i],) for i in range(s - 1)]
-        orbits.append((_eps(r, s),))  # the short root e_s = alpha_s + ... + alpha_r
-        return _make_embedding(case, amb, sub, orbits, [(k, k) for k in range(1, s + 1)])
     if case == "sl2-in-g2":
+        # the long highest root theta = 3 alpha_1 + 2 alpha_2
         amb = build_root_system("G2", 2)
-        sub = build_root_system("A", 1)
-        theta = amb.highest_root  # 3 alpha_1 + 2 alpha_2, long
-        second = _make_embedding(
-            "sl2-in-g2-second", amb, build_root_system("A", 1),
-            [(amb.simple_roots[0],)], [(1, 1)],
-        )
-        return _make_embedding(case, amb, sub, [(theta,)], [(1, 2)], second=second)
+        return _make_embedding(case, amb, build_root_system("A", 1), [((3, 2),)], [(1, 2)])
     if case == "g2-in-f4":
         return _build_g2_in_f4()
     if case == "d-chain":
-        (r,) = _params(case, params, "r")
+        _require(case, r=r)
         if r < 3:
             raise ConfigurationError("d-chain needs r >= 3")
-        amb = build_root_system("D", r)
-        sub = build_root_system("B", r - 2) if r - 2 >= 2 else build_root_system("B", 1)
-        orbits = [(amb.simple_roots[i],) for i in range(r - 3)]
-        # the folded short generator: orthogonal pair e_{r-2} -+ e_r
-        orbits.append(
-            (
-                tuple(x - y for x, y in zip(_eps(r, r - 2), _eps(r, r))),
-                tuple(x + y for x, y in zip(_eps(r, r - 2), _eps(r, r))),
-            )
+        # the folded short generator: the orthogonal pair e_{r-2} -+ e_r,
+        # that is alpha_{r-2} + alpha_{r-1} and alpha_{r-2} + alpha_r
+        head = (0,) * (r - 3) + (1,)
+        orbits = [(_simple(r, i),) for i in range(r - 3)] + [(head + (1, 0), head + (0, 1))]
+        return _make_embedding(
+            case, build_root_system("D", r), build_root_system("B", r - 2), orbits,
+            [(k, k) for k in range(1, r - 1)],
         )
-        return _make_embedding(case, amb, sub, orbits, [(k, k) for k in range(1, r - 1)])
-    if case == "identity":
-        amb = build_root_system(*_params(case, params, "kind", "rank"))
-        orbits = [(a,) for a in amb.simple_roots]
-        return _make_embedding(case, amb, amb, orbits, [(k, k) for k in range(1, amb.rank + 1)])
     raise ConfigurationError(f"unknown embedding case {case!r}")
 
 
 def _build_g2_in_f4():
     amb = build_root_system("F4", 4)
     sub = build_root_system("G2", 2)
-    a = amb.simple_roots
     # B4 subsystem: beta_1 = alpha_2 + 2 alpha_3 + 2 alpha_4, then alpha_1, alpha_2, alpha_3
-    b4 = (
-        vadd(a[1], vadd(vscale(2, a[2]), vscale(2, a[3]))),
-        a[0],
-        a[1],
-        a[2],
-    )
-    # D4 inside it: the long roots; last node is beta_3 + 2 beta_4
-    d4 = (b4[0], b4[1], b4[2], vadd(b4[2], vscale(2, b4[3])))
+    b4 = ((0, 1, 2, 2), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    # D4 inside it: the long roots; last node is beta_3 + 2 beta_4 = alpha_2 + 2 alpha_3
+    d4 = b4[:3] + ((0, 1, 2, 0),)
     # triality permutes the three outer nodes of D4; the center is fixed
-    outer = (d4[0], d4[2], d4[3])
-    center = d4[1]
-    orbits = [outer, (center,)]  # G2: node 1 short (folded), node 2 long
+    orbits = [(d4[0], d4[2], d4[3]), (d4[1],)]  # G2: node 1 short (folded), node 2 long
     return _make_embedding(
         "g2-in-f4", amb, sub, orbits, [(1, 4), (2, 1)],
         stages=(("B4", b4), ("D4", d4)),
@@ -506,27 +499,33 @@ def _build_g2_in_f4():
 
 
 def restrict_weight_via_embedding(E, lam):
-    """Restrict an ambient weight to the sub Cartan (coroot pairings)."""
-    v = _as_epsilon(E.ambient, lam)
-    coords = tuple(E.ambient.coroot_pairing(v, b) for b in E.simple_images)
-    return Weight(E.sub, coords)
+    """Restrict an ambient weight to the sub Cartan.
+
+    The i-th coordinate is lam on the i-th image coroot, the sum of the
+    coroots of the i-th orbit.
+    """
+    if not isinstance(lam, Weight) or lam.root_system.label != E.ambient.label:
+        raise UsageError("weight is not over the ambient root system")
+    coroot = E.ambient.root_coroot
+    return Weight(E.sub, tuple(
+        sum(sum(map(mul, lam.coords, coroot[k])) for k in orbit) for orbit in E.members
+    ))
 
 
 def embed_weight(E, mu):
     """The isometric section: a sub weight as an ambient weight.
 
     Only defined for isometric embeddings (gram_scale == 1); inverts
-    restrict_weight_via_embedding on its image.
+    restrict_weight_via_embedding on its image: mu's coordinates over the
+    sub simple roots become the coefficients of the image directions.
     """
     if E.gram_scale != 1:
         raise UsageError(f"{E.case}: weight embedding requires an isometric case")
     if mu.root_system.label != E.sub.label:
         raise UsageError("weight is not over the sub root system")
-    acoords = E.sub.alpha_coords(mu.ambient)
-    v = tuple(Fraction(0) for _ in range(E.ambient.ambient_dim))
-    for c, b in zip(acoords, E.simple_images):
-        v = vadd(v, vscale(c, b))
-    return Weight(E.ambient, E.ambient.fw_coords(v))
+    acoords = [sum(map(mul, mu.coords, col)) for col in zip(*E.sub.cartan_inverse)]
+    images = [_average(E.ambient.root_fw, orbit) for orbit in E.members]
+    return Weight(E.ambient, tuple(sum(map(mul, acoords, col)) for col in zip(*images)))
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +575,6 @@ def embedding_to_json(E):
         "parabolic_map": [list(p) for p in E.parabolic_map],
         "gram_scale": _frac_str(E.gram_scale),
     }
-    if E.second is not None:
-        doc["second_factor"] = embedding_to_json(E.second)
     if E.stages:
         doc["stages"] = [
             {"label": label, "roots": [_vec_json(b) for b in roots]}

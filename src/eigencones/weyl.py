@@ -20,7 +20,7 @@ coordinate.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import mul
 
 from .errors import ConfigurationError, ResourceCapError, UsageError, VerificationError
@@ -190,7 +190,12 @@ def reflection(R, beta):
     k = R.root_index(beta)
     if k is None:
         raise UsageError("not a root")
-    fw, cvee = R.root_fw[k], R.root_coroot[k]  # the same for -beta
+    return _root_reflection(R, k)
+
+
+def _root_reflection(R, k):
+    """The reflection through the k-th positive root (and its negative)."""
+    fw, cvee = R.root_fw[k], R.root_coroot[k]
     r = R.rank
     m = tuple(
         tuple((1 if j == i else 0) - fw[j] * cvee[i] for i in range(r))
@@ -351,13 +356,9 @@ def poincare_counts(elements):
 
 @lru_cache(maxsize=None)
 def _generator_images(E):
-    out = []
-    for orbit in E.orbits:
-        g = identity(E.ambient)
-        for beta in orbit:
-            g = g * reflection(E.ambient, beta)
-        out.append(g)
-    return tuple(out)
+    return tuple(
+        reduce(mul, (_root_reflection(E.ambient, k) for k in orbit)) for orbit in E.members
+    )
 
 
 def embed_element(E, w, minimize_into=None):

@@ -1,9 +1,11 @@
 """CLI dispatch, exit codes, formats, determinism, cache coherence."""
 
+import hashlib
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -55,13 +57,22 @@ def test_exceptional_group_conflicting_rank_exits_2(group, capsys):
 
 @pytest.mark.parametrize("argv,needle", [
     (("--case", "c-in-c", "--r", "3"), "parameter s"),
-    (("--case", "identity"), "parameter kind"),
+    (("--case", "b-in-b", "--s", "1"), "parameter r"),
     (("--case", "d-chain"), "parameter r"),
 ])
 def test_missing_embedding_parameter_exits_2(argv, needle, capsys):
     code, out, err = run(capsys, "verify", "thm-main", *argv)
     assert (code, out) == (2, "")
     assert needle in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("case", ["identity", "C-IN-C"])
+def test_unknown_embedding_case_exits_2(case, capsys):
+    # case names are exact; there is no identity embedding
+    code, out, err = run(capsys, "verify", "thm-main", "--case", case,
+                         "--r", "3", "--s", "2")
+    assert (code, out) == (2, "")
+    assert err == f"usage error: unknown embedding case {case!r}\n"
 
 
 def test_cosets_csv(capsys):
@@ -298,6 +309,21 @@ def test_output_deterministic(capsys):
     a = run(capsys, "inequalities", "--group", "G2", "--n", "3")
     b = run(capsys, "inequalities", "--group", "G2", "--n", "3")
     assert a == b
+
+
+@pytest.mark.parametrize("job,argv", [
+    ("tables-g2f4", ("tables", "g2f4")),
+    ("main-c-in-c-r3-s2",
+     ("verify", "thm-main", "--case", "c-in-c", "--r", "3", "--s", "2")),
+    ("main-g2-in-f4", ("verify", "thm-main", "--case", "g2-in-f4")),
+])
+def test_embedding_reports_match_the_benchmark_digests(job, argv, capsys):
+    # the benchmark pins these reports byte for byte; read, never written here
+    expected = Path(__file__).parents[1] / "bench" / "expected.json"
+    want = json.loads(expected.read_text())[job]
+    code, out, _ = run(capsys, *argv)
+    assert code == want["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
 
 
 def test_failed_self_check_exits_1_with_one_line(monkeypatch, capsys):

@@ -2,6 +2,8 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -13,6 +15,8 @@ from eigencones.linalg import dot, integer_multiple, mat_inv, vadd, vscale
 from eigencones.rootsys import (
     SubsystemEmbedding,
     Weight,
+    _build_embedding,
+    _make_embedding,
     _simple_root_vectors,
     build_embedding,
     build_root_system,
@@ -23,6 +27,7 @@ from eigencones.rootsys import (
     restrict_weight_via_embedding,
     root_system_to_json,
 )
+from eigencones.weyl import WeylElement, _generator_images
 
 POSITIVE_ROOT_COUNTS = {
     ("A", 3): 6,
@@ -361,7 +366,6 @@ def test_embedding_bad_params():
     ("c-in-c", {"r": 3}, "s"),
     ("b-in-b", {"s": 1}, "r"),
     ("d-chain", {}, "r"),
-    ("identity", {"kind": "C"}, "rank"),
 ])
 def test_missing_embedding_parameter_is_a_configuration_error(case, params, missing):
     with pytest.raises(ConfigurationError, match=f"parameter {missing}$"):
@@ -380,6 +384,136 @@ def test_embeddings_are_cached_and_bad_calls_raise_every_time():
             build_embedding("c-in-c", r=3, s=3)
         with pytest.raises(ConfigurationError):
             build_embedding("c-in-c", r=3)
+
+
+@pytest.mark.parametrize("orbits,sub,needle", [
+    ([((3, 0, 0),)], ("A", 1), "not an ambient positive root"),
+    ([((1, 0, 0), (0, 1, 0))], ("A", 1), "not orthogonal"),
+    ([((1, 0, 0),), ((0, 1, 0),)], ("C", 2), "Cartan integers"),
+])
+def test_embedding_checks_reject_bad_orbits(orbits, sub, needle):
+    # orbit rows over the simple roots of C3
+    with pytest.raises(ConfigurationError, match=needle):
+        _make_embedding("bad", build_root_system("C", 3), build_root_system(*sub),
+                        orbits, [])
+
+
+def test_one_cache_entry_per_embedding():
+    _build_embedding.cache_clear()
+    E = build_embedding("c-in-c", r=3, s=2)
+    assert build_embedding("c-in-c", s=2, r=3) is E
+    assert build_embedding("c-in-c", 3, 2) is E
+    info = _build_embedding.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    # case names are exact
+    with pytest.raises(ConfigurationError, match="unknown embedding case 'C-IN-C'"):
+        build_embedding("C-IN-C", r=3, s=2)
+    assert _build_embedding.cache_info().currsize == 1
+
+
+def _eps(n, i, coeff=1):
+    return tuple(Fraction(coeff) if j == i - 1 else Fraction(0) for j in range(n))
+
+
+def reference_embedding(case, r=None, s=None):
+    """The epsilon-coordinate construction the int embeddings replaced: orbit
+    members as epsilon vectors, images as their averages, Cartan integers
+    and gram_scale from Euclidean dot products and the Killing form, and the
+    generator images, restriction and section through epsilon pairings."""
+    if case in ("c-in-c", "b-in-b"):
+        kind = case[0].upper()
+        amb, sub = build_root_system(kind, r), build_root_system(kind, s)
+        top = _eps(r, s, 2) if kind == "C" else _eps(r, s)
+        orbits = [(amb.simple_roots[i],) for i in range(s - 1)] + [(top,)]
+        pmap = [(k, k) for k in range(1, s + 1)]
+        stages = ()
+    elif case == "d-chain":
+        amb, sub = build_root_system("D", r), build_root_system("B", r - 2)
+        lo, hi = _eps(r, r - 2), _eps(r, r)
+        orbits = [(amb.simple_roots[i],) for i in range(r - 3)]
+        orbits.append((vadd(lo, vscale(-1, hi)), vadd(lo, hi)))
+        pmap = [(k, k) for k in range(1, r - 1)]
+        stages = ()
+    elif case == "sl2-in-g2":
+        amb, sub = build_root_system("G2", 2), build_root_system("A", 1)
+        orbits, pmap, stages = [(amb.highest_root,)], [(1, 2)], ()
+    else:
+        amb, sub = build_root_system("F4", 4), build_root_system("G2", 2)
+        a = amb.simple_roots
+        b4 = (vadd(a[1], vadd(vscale(2, a[2]), vscale(2, a[3]))), a[0], a[1], a[2])
+        d4 = (b4[0], b4[1], b4[2], vadd(b4[2], vscale(2, b4[3])))
+        orbits, pmap = [(d4[0], d4[2], d4[3]), (d4[1],)], [(1, 4), (2, 1)]
+        stages = (("B4", b4), ("D4", d4))
+    images = tuple(vscale(Fraction(1, len(o)), reduce(vadd, o)) for o in orbits)
+    for i, bi in enumerate(images):
+        for j, bj in enumerate(images):
+            assert 2 * dot(bi, bj) / dot(bj, bj) == sub.cartan_matrix[i][j]
+    (scale,) = {
+        amb.killing(bi, bj) / sub.killing(ai, aj)
+        for bi, ai in zip(images, sub.simple_roots)
+        for bj, aj in zip(images, sub.simple_roots)
+        if sub.killing(ai, aj) != 0
+    }
+
+    def reflection_matrix(beta):
+        fw = amb.fw_coords(beta)
+        cvee = [amb.coroot_pairing(w, beta) for w in amb.fundamental_weights]
+        n = amb.rank
+        return tuple(
+            tuple(int(j == i) - fw[j] * cvee[i] for i in range(n)) for j in range(n)
+        )
+
+    def generator(orbit):
+        matrices = [reflection_matrix(beta) for beta in orbit]
+        g = reduce(lambda x, y: x * y, (WeylElement(amb, m) for m in matrices))
+        return g.matrix
+
+    def restrict(lam):
+        v = lam.ambient
+        return tuple(amb.coroot_pairing(v, b) for b in images)
+
+    def section(mu):
+        acoords = sub.alpha_coords(mu.ambient)
+        v = reduce(vadd, (vscale(c, b) for c, b in zip(acoords, images)))
+        return amb.fw_coords(v)
+
+    return SimpleNamespace(
+        orbits=tuple(tuple(o) for o in orbits),
+        simple_images=images,
+        image_alpha=tuple(amb.alpha_coords(b) for b in images),
+        gram_scale=scale,
+        parabolic_map=tuple(pmap),
+        stages=stages,
+        generators=tuple(generator(o) for o in orbits),
+        restrict=restrict,
+        section=section,
+    )
+
+
+EMBEDDING_CASES = [
+    (case, r, s) for case in ("c-in-c", "b-in-b") for r in range(2, 7) for s in range(1, r)
+] + [("d-chain", r, None) for r in range(3, 8)] + [
+    ("sl2-in-g2", None, None), ("g2-in-f4", None, None),
+]
+
+
+@pytest.mark.parametrize("case,r,s", EMBEDDING_CASES)
+def test_int_embedding_matches_the_epsilon_construction(case, r, s):
+    E = build_embedding(case, r=r, s=s)
+    ref = reference_embedding(case, r, s)
+    assert E.orbits == ref.orbits
+    assert E.simple_images == ref.simple_images
+    assert E.stages == ref.stages
+    assert tuple(E.image_alpha_coords(i) for i in range(E.sub.rank)) == ref.image_alpha
+    assert (E.gram_scale, E.parabolic_map) == (ref.gram_scale, ref.parabolic_map)
+    assert tuple(g.matrix for g in _generator_images(E)) == ref.generators
+    for coords in product(range(3), repeat=E.ambient.rank):
+        lam = Weight(E.ambient, coords)
+        assert restrict_weight_via_embedding(E, lam).coords == ref.restrict(lam)
+    if E.gram_scale == 1:
+        for coords in product(range(3), repeat=E.sub.rank):
+            mu = Weight(E.sub, coords)
+            assert embed_weight(E, mu).coords == ref.section(mu)
 
 
 def test_restrict_c_in_c():

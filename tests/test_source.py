@@ -1,6 +1,6 @@
 """Source-level rules for the package: no bare asserts, no numpy, no
-Fraction on the localization and theta hot paths, and Weyl's private
-context kept inside weyl."""
+Fraction on the localization and theta hot paths, no epsilon arithmetic in
+the embedding layer, and Weyl's private context kept inside weyl."""
 
 import ast
 from pathlib import Path
@@ -39,6 +39,34 @@ def test_no_fraction_in_the_int_hot_paths(method):
              if isinstance(n, ast.FunctionDef) and n.name == method]
     names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
     assert "Fraction" not in names, f"Fraction in FlagVariety.{method}"
+
+
+EPSILON_NAMES = {"killing", "coroot_pairing", "fw_coords", "alpha_coords",
+                 "from_fw", "simple_roots", "vadd", "vscale",
+                 # the epsilon views and the lookup of a root by its vector
+                 "positive_roots", "simple_images", "root_index", "reflection"}
+
+
+@pytest.mark.parametrize("module,name", [
+    ("rootsys", "SubsystemEmbedding.image_alpha_coords"),
+    ("rootsys", "_make_embedding"),
+    ("rootsys", "build_embedding"),
+    ("rootsys", "_build_embedding"),
+    ("rootsys", "_build_g2_in_f4"),
+    ("rootsys", "restrict_weight_via_embedding"),
+    ("rootsys", "embed_weight"),
+    ("weyl", "_generator_images"),
+])
+def test_embeddings_read_only_int_root_rows(module, name):
+    # orbits are named in simple-root coordinates; epsilon is a view
+    path = Path(eigencones.__file__).parent / f"{module}.py"
+    node = ast.parse(path.read_text(), str(path))
+    for part in name.split("."):
+        (node,) = [n for n in node.body
+                   if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == part]
+    used = {getattr(n, "id", None) for n in ast.walk(node)}
+    used |= {getattr(n, "attr", None) for n in ast.walk(node)}
+    assert not used & EPSILON_NAMES, f"{name} uses {sorted(used & EPSILON_NAMES)}"
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "weyl.py"],
