@@ -334,8 +334,8 @@ def cmd_tables(args):
         _emit(_report(args, rows=rows), args.format, csv_rows, lines)
         return 0
     if args.which == "orbits":
-        if args.r is None:
-            raise UsageError("tables orbits needs --r")
+        if args.r is None or not 2 <= args.r <= 9:  # before any rows are built
+            raise UsageError("tables orbits needs --r with 2 <= r <= 9")
         rows = orbit_table_rows(args.r)
         csv_rows = [("k", "r", "O1", "O2", "O2'", "O3")] + [
             (r["k"], r["r"], r["O1"], r["O2"], r["O2'"], r["O3"]) for r in rows

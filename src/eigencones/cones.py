@@ -19,7 +19,14 @@ from math import gcd, lcm
 from operator import mul, or_
 
 from .errors import ConfigurationError, ResourceCapError, UsageError, VerificationError
-from .rootsys import RootSystem, Weight, build_embedding, build_root_system
+from .rootsys import (
+    RootSystem,
+    Weight,
+    build_embedding,
+    build_root_system,
+    embed_weight,
+    restrict_weight_via_embedding,
+)
 from .schubert import flag_variety, point_product_tuples
 from .weyl import (
     ParabolicSpec,
@@ -32,7 +39,8 @@ from .weyl import (
 SCHEMA_VERSION = 1
 TIERS = ("nonzero", "point", "levi")
 GRID_TOP = 3          # verify_projection scans fw coordinates 0..GRID_TOP
-GRID_CAP = 1 << 24    # cells of the verify_projection grid
+GRID_CAP_EXPONENT = 12  # the grid has (GRID_TOP + 1) ** (r * n) cells
+GRID_CAP = (GRID_TOP + 1) ** GRID_CAP_EXPONENT
 
 
 @dataclass(frozen=True)
@@ -208,12 +216,17 @@ def membership(lams, S: IneqSystem):
 # -- the B/C projection ------------------------------------------------------
 
 
-def project_weight_BC(lam: Weight, s) -> Weight:
-    """Truncate to the first s epsilon coordinates (the rank-lowering map).
+def _chain(kind, r, s):
+    """The rank-s step of the B/C chain: Sp(2s) in Sp(2r) or SO(2s+1) in SO(2r+1)."""
+    return build_embedding("c-in-c" if kind == "C" else "b-in-b", r=r, s=s)
 
-    In type C fundamental-weight coordinates this is a_1 .. a_{s-1},
-    sum_{i>=s} a_i; type B gets the Coxeter-identified analogue.  A section
-    of the epsilon-coordinate inclusion (see include_weight_BC).
+
+def project_weight_BC(lam: Weight, s) -> Weight:
+    """Restrict a dominant weight to the rank-s subgroup of the B/C chain.
+
+    The top sub coroot is e_s in C_r and 2e_s in B_r, so this truncates
+    the epsilon vector to its first s coordinates; in type C fundamental
+    weight coordinates it is a_1 .. a_{s-1}, sum_{i>=s} a_i.
     """
     R = lam.root_system
     if R.kind not in ("B", "C"):
@@ -222,28 +235,20 @@ def project_weight_BC(lam: Weight, s) -> Weight:
         raise UsageError("need 1 <= s < r")
     if not lam.is_dominant():
         raise UsageError("projection requires a dominant weight")
-    sub = build_root_system(R.kind, s)
-    eps = lam.ambient[:s]
-    coords = tuple(
-        sub.coroot_pairing(eps, sub.simple_roots[i]) for i in range(s)
-    )
-    out = Weight(sub, coords)
+    out = restrict_weight_via_embedding(_chain(R.kind, R.rank, s), lam)
     if not out.is_dominant():
         raise VerificationError(f"projection of {lam.coords} is not dominant")
     return out
 
 
 def include_weight_BC(lam: Weight, r) -> Weight:
-    """Pad the epsilon vector with zeros up to rank r (the cone inclusion)."""
+    """Zero-pad the epsilon vector up to rank r: the section of the projection."""
     R = lam.root_system
     if R.kind not in ("B", "C"):
         raise UsageError("inclusion is defined for types B and C")
     if not R.rank < r:
         raise UsageError("need s < r")
-    amb = build_root_system(R.kind, r)
-    eps = lam.ambient + tuple(Fraction(0) for _ in range(r - R.rank))
-    coords = tuple(amb.coroot_pairing(eps, amb.simple_roots[i]) for i in range(r))
-    return Weight(amb, coords)
+    return embed_weight(_chain(R.kind, r, R.rank), lam)
 
 
 def projection_step_invariance(kind, r):
@@ -252,29 +257,27 @@ def projection_step_invariance(kind, r):
     Checked exactly on every fundamental weight of the rank-r group, for
     every maximal parabolic of the rank r-1 subgroup and every minimal
     coset representative, with the subgroup element acting through the
-    subsystem embedding.  Returns the number of identities checked.
+    subsystem embedding.  The pairing with omega_P is row P of the
+    fundamental-weight Gram matrix.  Returns the number of identities
+    checked.
     """
     if kind not in ("B", "C"):
         raise UsageError("the projection chain lives in types B and C")
-    case = "c-in-c" if kind == "C" else "b-in-b"
-    E = build_embedding(case, r=r, s=r - 1)
+    E = _chain(kind, r, r - 1)
     amb, sub = E.ambient, E.sub
+    diffs = []
+    for j in range(r):
+        lam = Weight(amb, tuple(int(t == j) for t in range(r)))
+        back = include_weight_BC(project_weight_BC(lam, r - 1), r)
+        diffs.append(tuple(a - b for a, b in zip(lam.coords, back.coords)))
     checked = 0
     for k in range(1, r):
         P = ParabolicSpec(amb, E.matched_parabolic(k))
-        omega_p = amb.fundamental_weights[P.excluded - 1]
+        gram_p = amb.weight_gram[P.excluded - 1]
         for w in minimal_coset_reps(sub, ParabolicSpec(sub, k)):
             img_inv = embed_element(E, w).inverse()
-            for j in range(r):
-                lam = Weight(amb, tuple(
-                    Fraction(1) if t == j else Fraction(0) for t in range(r)
-                ))
-                proj = project_weight_BC(lam, r - 1)
-                padded = include_weight_BC(proj, r)
-                diff = tuple(
-                    a - b for a, b in zip(lam.ambient, padded.ambient)
-                )
-                if amb.killing(omega_p, img_inv.apply_eps(diff)) != 0:
+            for j, diff in enumerate(diffs):
+                if sum(map(mul, gram_p, img_inv.apply_fw(diff))) != 0:
                     raise VerificationError(
                         f"projection invariance fails at P{P.excluded}, "
                         f"w={word_str(w)}, omega_{j+1}"
@@ -369,11 +372,10 @@ def verify_projection(r, s, n, kind="C"):
                          f"not {kind}")
     if not 1 <= s < r:
         raise UsageError("need 1 <= s < r")
-    cells = (GRID_TOP + 1) ** (r * n)
-    if cells > GRID_CAP:
+    if r * n > GRID_CAP_EXPONENT:  # compare exponents; r * n may be huge
         raise ResourceCapError(
-            f"projection grid has {cells} cells, over the cap {GRID_CAP}",
-            cap=GRID_CAP,
+            f"projection grid has {GRID_TOP + 1}^(r * n) cells, and r * n is over "
+            f"the cap exponent {GRID_CAP_EXPONENT}", cap=GRID_CAP,
         )
     amb = build_root_system(kind, r)
     sub = build_root_system(kind, s)
@@ -384,7 +386,7 @@ def verify_projection(r, s, n, kind="C"):
     # projection of integer fw coordinates stays integral in both types
     proj_coords = []
     for c in slot_coords:
-        p = project_weight_BC(Weight(amb, tuple(Fraction(x) for x in c)), s)
+        p = project_weight_BC(Weight(amb, c), s)
         if any(x.denominator != 1 for x in p.coords):
             raise VerificationError(f"projection of {c} is not integral")
         proj_coords.append(tuple(int(x) for x in p.coords))
@@ -396,7 +398,7 @@ def verify_projection(r, s, n, kind="C"):
 
     section_ok = True
     for c in grid_coords(s, range(GRID_TOP + 1)):
-        lam = Weight(sub, tuple(Fraction(x) for x in c))
+        lam = Weight(sub, c)
         back = project_weight_BC(include_weight_BC(lam, r), s)
         if back.coords != lam.coords:
             section_ok = False

@@ -14,8 +14,9 @@ invariant form are the root system's int rows; the form is the fw Gram
 matrix cleared to ints, a positive multiple of the Killing form, which
 scales both sides of Freudenthal's formula alike.  A character table is
 keyed by dominant fw coordinates.  Fraction is left to the boundary:
-parsing input, the lambda - w0 lambda box (once per table) and
-CharacterTable.multiplicity, which takes an epsilon vector.
+parsing input, the lambda - w0 lambda box (its fw coordinates times the
+inverse Cartan matrix, once per table) and CharacterTable.multiplicity,
+which takes an epsilon vector and is the one epsilon view here.
 """
 
 from __future__ import annotations
@@ -144,9 +145,7 @@ def weight_multiplicities(R: RootSystem, lam, dim_cap=DIM_CAP) -> CharacterTable
         )
 
     C = R.cartan_matrix
-    drop = R.alpha_coords(R.from_fw(tuple(
-        map(sub, coords, longest_element(R).apply_fw(coords))
-    )))
+    drop = R.fw_to_alpha(tuple(map(sub, coords, longest_element(R).apply_fw(coords))))
     if any(x < 0 or x.denominator != 1 for x in drop):
         raise VerificationError(f"lambda - w0 lambda = {drop} is not a "
                                 "non-negative integer root combination")

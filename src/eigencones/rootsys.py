@@ -125,8 +125,11 @@ class RootSystem:
 
     def alpha_coords(self, v):
         """Coordinates of v over the simple roots (v must lie in their span)."""
-        fw = self.fw_coords(v)
-        return tuple(dot(fw, col) for col in zip(*self.cartan_inverse))
+        return self.fw_to_alpha(self.fw_coords(v))
+
+    def fw_to_alpha(self, coords):
+        """Fundamental-weight coordinates to coordinates over the simple roots."""
+        return tuple(dot(coords, col) for col in zip(*self.cartan_inverse))
 
     def fw_coords(self, v):
         """Fundamental-weight coordinates: j-th entry is v on alpha_j's coroot."""
@@ -186,22 +189,6 @@ class Weight:
 
     def __hash__(self):
         return hash((self.root_system.kind, self.root_system.rank, self.coords))
-
-
-def _as_epsilon(R, x):
-    if isinstance(x, Weight):
-        if x.root_system.label != R.label:
-            raise UsageError("weight belongs to a different root system")
-        return x.ambient
-    v = tuple(Fraction(c) for c in x)
-    if len(v) != R.ambient_dim:
-        raise UsageError("dimension mismatch")
-    return v
-
-
-def killing_pairing(R, a, b):
-    """Normalized invariant form; accepts Weight objects or epsilon vectors."""
-    return R.killing(_as_epsilon(R, a), _as_epsilon(R, b))
 
 
 def _positive_alpha_coords(C):
@@ -436,10 +423,13 @@ def _simple(r, i):
     return tuple(int(j == i) for j in range(r))
 
 
-def _require(case, **params):
+def _params(case, read, **params):
+    """Each parameter in read must be given, and no other one."""
     for name, value in params.items():
-        if value is None:
+        if name in read and value is None:
             raise ConfigurationError(f"{case} needs the parameter {name}")
+        if name not in read and value is not None:
+            raise ConfigurationError(f"{case} does not read the parameter {name}")
 
 
 def build_embedding(case, r=None, s=None):
@@ -450,7 +440,7 @@ def build_embedding(case, r=None, s=None):
 @lru_cache(maxsize=None)
 def _build_embedding(case, r, s):
     if case in ("c-in-c", "b-in-b"):
-        _require(case, r=r, s=s)
+        _params(case, "rs", r=r, s=s)
         if not 1 <= s < r:
             raise ConfigurationError(f"{case} needs 1 <= s < r")
         kind = case[0].upper()
@@ -462,14 +452,15 @@ def _build_embedding(case, r, s):
         return _make_embedding(
             case, amb, build_root_system(kind, s), orbits, [(k, k) for k in range(1, s + 1)]
         )
-    if case == "sl2-in-g2":
+    if case in ("sl2-in-g2", "g2-in-f4"):
+        _params(case, "", r=r, s=s)
+        if case == "g2-in-f4":
+            return _build_g2_in_f4()
         # the long highest root theta = 3 alpha_1 + 2 alpha_2
         amb = build_root_system("G2", 2)
         return _make_embedding(case, amb, build_root_system("A", 1), [((3, 2),)], [(1, 2)])
-    if case == "g2-in-f4":
-        return _build_g2_in_f4()
     if case == "d-chain":
-        _require(case, r=r)
+        _params(case, "r", r=r, s=s)
         if r < 3:
             raise ConfigurationError("d-chain needs r >= 3")
         # the folded short generator: the orthogonal pair e_{r-2} -+ e_r,
@@ -513,14 +504,13 @@ def restrict_weight_via_embedding(E, lam):
 
 
 def embed_weight(E, mu):
-    """The isometric section: a sub weight as an ambient weight.
+    """A sub weight as an ambient weight: the section of the restriction.
 
-    Only defined for isometric embeddings (gram_scale == 1); inverts
-    restrict_weight_via_embedding on its image: mu's coordinates over the
-    sub simple roots become the coefficients of the image directions.
+    mu's coordinates over the sub simple roots become the coefficients of
+    the image directions.  The images reproduce the sub's Cartan integers
+    (_make_embedding checks it), so restricting gives mu back in every
+    case, conformal (gram_scale != 1) ones included.
     """
-    if E.gram_scale != 1:
-        raise UsageError(f"{E.case}: weight embedding requires an isometric case")
     if mu.root_system.label != E.sub.label:
         raise UsageError("weight is not over the sub root system")
     acoords = [sum(map(mul, mu.coords, col)) for col in zip(*E.sub.cartan_inverse)]

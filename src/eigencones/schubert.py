@@ -32,6 +32,7 @@ from .weyl import (
     dual_rep,
     identity,
     minimal_coset_reps,
+    root_reflection,
     simple_reflection,
     word_str,
 )
@@ -60,10 +61,9 @@ class FlagVariety:
                 cap=graded_cap,
             )
         self.by_codim = by_codim
-        # positive roots outside the Levi, in epsilon and in int fw coordinates
+        # positive roots outside the Levi, in int fw coordinates
         outside = [a[excluded - 1] != 0 for a in R.root_alpha]
         levi = [fw for fw, out in zip(R.root_fw, outside) if not out]
-        self._outside = tuple(b for b, out in zip(R.positive_roots, outside) if out)
         self._outside_fw = tuple(fw for fw, out in zip(R.root_fw, outside) if out)
         self._positive_fw = frozenset(R.root_fw)
         self._levi_sum = tuple(map(sum, zip((0,) * R.rank, *levi)))  # 2 rho^L
@@ -225,7 +225,7 @@ class FlagVariety:
 
     def eval_xP(self, weight: Weight):
         """Evaluation at the dual basis element of the excluded node."""
-        a = self.root_system.alpha_coords(weight.ambient)
+        a = self.root_system.fw_to_alpha(weight.coords)
         return a[self.parabolic.excluded - 1]
 
     def _chi_at_xP(self, w):
@@ -327,24 +327,18 @@ def chevalley_multiply(F, i, c: CohomClass):
     if c.variety is not F:
         raise UsageError("class is over a different variety")
     R = F.root_system
+    outside = [k for k, a in enumerate(R.root_alpha) if a[i - 1]]
     out = {}
     for w_spec, coeff in c.coeffs.items():
         wb = F.dual(w_spec)  # length-indexed avatar
-        for b in F._outside:
-            u = wb * _reflection_cached(R, b)
+        for k in outside:
+            u = wb * root_reflection(R, k)
             if u.length == wb.length + 1 and u in F.index:
-                mult = R.root_coroot[R.root_index(b)][i - 1]  # <omega_i, b^vee>
+                mult = R.root_coroot[k][i - 1]  # <omega_i, beta_k^vee>
                 if mult:
                     tgt = F.dual(u)
                     out[tgt] = out.get(tgt, 0) + coeff * mult
     return CohomClass(F, out)
-
-
-@lru_cache(maxsize=None)
-def _reflection_cached(R, beta):
-    from .weyl import reflection
-
-    return reflection(R, beta)
 
 
 @dataclass(frozen=True)

@@ -13,18 +13,17 @@ canonical word and the length, which is computed only when read.  Root
 rows come from the root system.  The inverse is K^-1 w^T K for the root
 system's int fundamental-weight Gram matrix K, whose inverse (the
 simple-coroot Gram matrix, up to scale) is cleared to ints once per root
-system.  apply_eps clears the vector's denominators and divides once per
-coordinate.
+system.  Epsilon coordinates are a view: apply_eps converts through the
+root system's fundamental-weight coordinates and back.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 
 from .errors import ConfigurationError, ResourceCapError, UsageError, VerificationError
-from .linalg import dot, integer_multiple, mat_inv
+from .linalg import integer_multiple, mat_inv
 
 WEYL_SIZE_CAP = 1_200_000
 
@@ -82,11 +81,8 @@ class WeylElement:
 
     def apply_eps(self, v):
         """Action on an ambient vector lying in the root span."""
-        ctx = _ctx(self.root_system)
-        d, (v_int,) = integer_multiple([v])
-        fw = self.apply_fw([sum(map(mul, row, v_int)) for row in ctx.coroots])
-        den = d * ctx.eps_scale
-        return tuple(Fraction(sum(map(mul, row, fw)), den) for row in ctx.weights)
+        R = self.root_system
+        return R.from_fw(self.apply_fw(R.fw_coords(v)))
 
     def sends_positive(self, i):
         """True iff w(alpha_i) is a positive root (1-based i)."""
@@ -113,13 +109,6 @@ class _Context:
         _, (self.height,) = integer_multiple([[sum(row) for row in R.cartan_inverse]])
         # the simple-coroot Gram matrix inverts the fw one
         self.gram_scale, self.coroot_gram = integer_multiple(mat_inv(R.weight_gram))
-        # epsilon -> fw coordinates pairs with the coroots; fw -> epsilon
-        # sums the fundamental weights, held here as columns
-        d3, self.coroots = integer_multiple(
-            [[2 * x / dot(a, a) for x in a] for a in R.simple_roots]
-        )
-        d4, self.weights = integer_multiple(tuple(zip(*R.fundamental_weights)))
-        self.eps_scale = d3 * d4
         self.id_matrix = tuple(
             tuple(1 if i == j else 0 for j in range(r)) for i in range(r)
         )
@@ -190,10 +179,10 @@ def reflection(R, beta):
     k = R.root_index(beta)
     if k is None:
         raise UsageError("not a root")
-    return _root_reflection(R, k)
+    return root_reflection(R, k)
 
 
-def _root_reflection(R, k):
+def root_reflection(R, k):
     """The reflection through the k-th positive root (and its negative)."""
     fw, cvee = R.root_fw[k], R.root_coroot[k]
     r = R.rank
@@ -357,7 +346,7 @@ def poincare_counts(elements):
 @lru_cache(maxsize=None)
 def _generator_images(E):
     return tuple(
-        reduce(mul, (_root_reflection(E.ambient, k) for k in orbit)) for orbit in E.members
+        reduce(mul, (root_reflection(E.ambient, k) for k in orbit)) for orbit in E.members
     )
 
 

@@ -264,6 +264,10 @@ def test_verify_thm_proj(capsys):
     (("--group", "A", "--r", "3", "--s", "2"), 2, "B and C"),
     (("--r", "3", "--s", "2", "--n", "5"), 3, "cap"),
     (("--r", "5", "--s", "2"), 3, "cap"),
+    # the cap compares the exponent r * n: 4 ** (r * n) is never built, so a
+    # large n neither allocates it nor prints its digits
+    (("--r", "3", "--s", "2", "--n", "2300"), 3, "cap exponent 12"),
+    (("--r", "3", "--s", "2", "--n", "2400"), 3, "cap exponent 12"),
 ])
 def test_verify_thm_proj_checks_inputs_first(argv, code, needle, monkeypatch,
                                              capsys):
@@ -273,7 +277,36 @@ def test_verify_thm_proj_checks_inputs_first(argv, code, needle, monkeypatch,
     monkeypatch.setattr("eigencones.cones.build_root_system", fail)
     got, _, err = run(capsys, "verify", "thm-proj", *argv)
     assert got == code and needle in err
+    assert len(err.strip().splitlines()) == 1 and len(err) < 200
+
+
+@pytest.mark.parametrize("r", ["0", "1", "-3", "10", "100000000"])
+def test_tables_orbits_r_checked_before_the_rows(r, monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("orbit rows started")
+
+    monkeypatch.setattr("eigencones.cli.orbit_table_rows", fail)
+    code, out, err = run(capsys, "tables", "orbits", "--r", r)
+    assert code == 2 and out == "" and "2 <= r <= 9" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,unread", [
+    (("--case", "sl2-in-g2", "--r", "5", "--s", "9"), "r"),
+    (("--case", "sl2-in-g2", "--s", "9"), "s"),
+    (("--case", "g2-in-f4", "--r", "4"), "r"),
+    (("--case", "d-chain", "--r", "5", "--s", "2"), "s"),
+])
+def test_verify_thm_main_rejects_unread_parameters(argv, unread, monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("embedding work started")
+
+    monkeypatch.setattr("eigencones.rootsys.build_root_system", fail)
+    monkeypatch.setattr("eigencones.cones.flag_variety", fail)
+    monkeypatch.setattr("eigencones.cones.verify_dual_commutes", fail)
+    code, out, err = run(capsys, "verify", "thm-main", *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == f"usage error: {argv[1]} does not read the parameter {unread}"
 
 
 def test_tables_orbits(capsys):

@@ -298,6 +298,33 @@ def test_include_then_project_identity():
             assert back.coords == lam.coords
 
 
+def reference_project(lam, s):
+    """The epsilon projection the embedding restriction replaced: truncate."""
+    sub = build_root_system(lam.root_system.kind, s)
+    eps = lam.ambient[:s]
+    return tuple(sub.coroot_pairing(eps, a) for a in sub.simple_roots)
+
+
+def reference_include(lam, r):
+    """The epsilon inclusion the embedding section replaced: zero-pad."""
+    amb = build_root_system(lam.root_system.kind, r)
+    eps = lam.ambient + (Fraction(0),) * (r - lam.root_system.rank)
+    return tuple(amb.coroot_pairing(eps, a) for a in amb.simple_roots)
+
+
+@pytest.mark.parametrize("kind,r", [(k, r) for k in "BC" for r in range(2, 6)])
+def test_projection_and_inclusion_match_the_epsilon_maps(kind, r):
+    R = build_root_system(kind, r)
+    for s in range(1, r):
+        sub = build_root_system(kind, s)
+        for coords in itertools.product(range(3), repeat=r):
+            lam = Weight(R, coords)
+            assert project_weight_BC(lam, s).coords == reference_project(lam, s)
+        for coords in itertools.product(range(3), repeat=s):
+            mu = Weight(sub, coords)
+            assert include_weight_BC(mu, r).coords == reference_include(mu, r)
+
+
 def test_projection_linear():
     R = build_root_system("B", 3)
     u = Weight(R, (Fraction(1), Fraction(0), Fraction(2)))

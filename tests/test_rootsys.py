@@ -23,7 +23,6 @@ from eigencones.rootsys import (
     dumps,
     embed_weight,
     embedding_to_json,
-    killing_pairing,
     restrict_weight_via_embedding,
     root_system_to_json,
 )
@@ -234,12 +233,6 @@ def test_c12_builds_on_ints():
     R = build_root_system("C", 12)
     assert len(R.positive_roots) == 144
     assert R.root_alpha[-1] == (2,) * 11 + (1,)
-
-
-def test_killing_pairing_dimension_mismatch():
-    R = build_root_system("C", 2)
-    with pytest.raises(UsageError):
-        killing_pairing(R, (1, 0, 0), (0, 1))
 
 
 def test_positive_root_order_deterministic():
@@ -553,6 +546,29 @@ def test_embed_then_restrict_is_identity():
     E = build_embedding("c-in-c", r=3, s=2)
     mu = Weight(E.sub, (Fraction(2), Fraction(3)))
     assert restrict_weight_via_embedding(E, embed_weight(E, mu)).coords == mu.coords
+
+
+@pytest.mark.parametrize("case,r,s", EMBEDDING_CASES)
+def test_restrict_after_embed_is_identity(case, r, s):
+    # the images reproduce the sub's Cartan integers, so embed_weight is a
+    # section of the restriction in conformal cases (gram_scale != 1) too
+    E = build_embedding(case, r=r, s=s)
+    for coords in product(range(3), repeat=E.sub.rank):
+        mu = Weight(E.sub, coords)
+        assert restrict_weight_via_embedding(E, embed_weight(E, mu)).coords == coords
+
+
+@pytest.mark.parametrize("case,params,unread", [
+    ("sl2-in-g2", {"r": 5, "s": 9}, "r"),
+    ("sl2-in-g2", {"s": 9}, "s"),
+    ("g2-in-f4", {"r": 4}, "r"),
+    ("d-chain", {"r": 5, "s": 2}, "s"),
+])
+def test_unread_embedding_parameter_is_a_configuration_error(case, params, unread):
+    _build_embedding.cache_clear()
+    with pytest.raises(ConfigurationError, match=f"does not read the parameter {unread}$"):
+        build_embedding(case, **params)
+    assert _build_embedding.cache_info().currsize == 0
 
 
 def test_weight_dominance_predicate():

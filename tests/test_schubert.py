@@ -337,10 +337,12 @@ def reference_localization(FA):
                     new[u2] = new.get(u2, Fraction(0)) + val * bval
             states = new
         rest[v] = states
+    k = FA.parabolic.excluded
+    outside = [b for b in R.positive_roots if R.alpha_coords(b)[k - 1] != 0]
     euler = {}
     for v in FA.basis:
         e = Fraction(1)
-        for b in FA._outside:
+        for b in outside:
             e *= -reference_root_value(FA, v.apply_eps(b))
         euler[v] = e
     return rest, euler

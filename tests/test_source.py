@@ -1,6 +1,7 @@
 """Source-level rules for the package: no bare asserts, no numpy, no
 Fraction on the localization and theta hot paths, no epsilon arithmetic in
-the embedding layer, and Weyl's private context kept inside weyl."""
+the embedding layer or the B/C projection, no epsilon data in weyl, and
+Weyl's private context kept inside weyl."""
 
 import ast
 from pathlib import Path
@@ -41,6 +42,19 @@ def test_no_fraction_in_the_int_hot_paths(method):
     assert "Fraction" not in names, f"Fraction in FlagVariety.{method}"
 
 
+def test_weyl_keeps_no_epsilon_data():
+    # apply_eps is a view through the root system's fw coordinates
+    path = Path(eigencones.__file__).parent / "weyl.py"
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                for a in n.names}
+    assert "Fraction" not in imported
+    (ctx,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Context"]
+    fields = {n.attr for n in ast.walk(ctx) if isinstance(n, ast.Attribute)}
+    assert not fields & {"coroots", "weights", "eps_scale", "simple_roots",
+                         "fundamental_weights"}
+
+
 EPSILON_NAMES = {"killing", "coroot_pairing", "fw_coords", "alpha_coords",
                  "from_fw", "simple_roots", "vadd", "vscale",
                  # the epsilon views and the lookup of a root by its vector
@@ -56,6 +70,11 @@ EPSILON_NAMES = {"killing", "coroot_pairing", "fw_coords", "alpha_coords",
     ("rootsys", "restrict_weight_via_embedding"),
     ("rootsys", "embed_weight"),
     ("weyl", "_generator_images"),
+    ("cones", "project_weight_BC"),
+    ("cones", "include_weight_BC"),
+    ("cones", "projection_step_invariance"),
+    ("schubert", "FlagVariety.eval_xP"),
+    ("schubert", "chevalley_multiply"),
 ])
 def test_embeddings_read_only_int_root_rows(module, name):
     # orbits are named in simple-root coordinates; epsilon is a view
