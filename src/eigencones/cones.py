@@ -363,9 +363,10 @@ def verify_projection(r, s, n, kind="C"):
 
     Over all weight tuples with fundamental-weight coordinates in
     {0..GRID_TOP}: every ambient tier=levi member projects into the rank-s
-    tier=levi cone; one boundary point per ambient facet is checked too
-    (the all-zero tuple when no grid member is tight); pi o iota is the
-    identity on the sub grid; the per-step pairing invariance holds.
+    tier=levi cone; one boundary point per ambient wall is checked too
+    (the first grid member tight on it other than the all-zero tuple, which
+    is tight on every wall, or that tuple when there is none); pi o iota is
+    the identity on the sub grid; the per-step pairing invariance holds.
     """
     if kind not in ("B", "C"):
         raise UsageError("the projection theorem is checked in types B and C, "
@@ -441,60 +442,61 @@ def _value_tables(S: IneqSystem, coords):
     ]
 
 
-class _LastSlot:
-    """One inequality's last-slot values as Python-int bitsets.
+def _tail(n):
+    """How many trailing slots share one bitset: the last two once n >= 3."""
+    return 2 if n >= 3 else 1
 
-    Bit j stands for grid index j: eq(v) holds the indices with value v,
-    le(v) those with value <= v.
+
+def _value_sets(column):
+    """Value -> bitset of the indices where column takes that value."""
+    sets = {}
+    for j, v in enumerate(column):
+        sets[v] = sets.get(v, 0) | 1 << j
+    return sets
+
+
+def _walls(tables, n, n_slots):
+    """Each inequality as (head bounds, tail value sets), one at a time.
+
+    tables[q][i][k] is inequality q's integer value on slot i at grid index
+    k.  The tail is the last slot, or for n >= 3 the last two slots folded
+    into one bitset whose bit k * n_slots + k' stands for the pair (k, k').
+    A head row fixes the other slots, in lexicographic order, so head row h
+    and tail bit j make position h * n_slots**tail + j of itertools.product
+    order.  bounds[h] is minus the inequality's sum over head row h, and
+    eq[v] is the bitset of tail cells where its tail value is v: it holds
+    at (h, j) exactly when j lies in eq[v] for some v <= bounds[h].
     """
-
-    def __init__(self, column):
-        self._eq = {}
-        for j, v in enumerate(column):
-            self._eq[v] = self._eq.get(v, 0) | 1 << j
-        self._values = sorted(self._eq)
-        self._le = list(itertools.accumulate(
-            (self._eq[v] for v in self._values), or_, initial=0
-        ))
-
-    def eq(self, v):
-        return self._eq.get(v, 0)
-
-    def le(self, v):
-        return self._le[bisect_right(self._values, v)]
-
-
-def _grid_scan_rows(tables, n, n_slots):
-    """One exact scan of the n-slot grid: (columns, rows, full bitset).
-
-    tables[q][i][k] is inequality q's integer value on slot i at grid
-    index k, and columns[q] holds q's last-slot values.  A row fixes the
-    first n - 1 indices (the head), in lexicographic order: rows yields
-    (head, bounds), bounds[q] being minus q's partial sum over the head, so
-    q holds at last-slot index j exactly when tables[q][n - 1][j] <=
-    bounds[q].  Head order followed by bit order is itertools.product order.
-    """
-    def rec(head, bounds):
-        i = len(head)
-        if i == n - 1:
-            yield head, bounds
-            return
-        for k in range(n_slots):
-            step = [b - t[i][k] for b, t in zip(bounds, tables)]
-            yield from rec(head + (k,), step)
-
-    cols = [_LastSlot(t[n - 1]) for t in tables]
-    return cols, rec((), [0] * len(tables)), (1 << n_slots) - 1
+    n_head = n - _tail(n)
+    block = (1 << n_slots) - 1
+    ones = sum(1 << k * n_slots for k in range(n_slots))
+    for t in tables:
+        bounds = [0]
+        for col in t[:n_head]:
+            bounds = [b - v for b in bounds for v in col]
+        eq = _value_sets(t[-1])
+        if n_head < n - 1:
+            # the last slot's sets copied into every block of n_slots bits,
+            # cut to the blocks k of each of the second-to-last slot's sets
+            copies = [(v2, bits * ones) for v2, bits in eq.items()]
+            pairs = {}
+            for v, ks in _value_sets(t[-2]).items():
+                blocks = sum(block << k * n_slots for k in _bits(ks))
+                for v2, copy in copies:
+                    pairs[v + v2] = pairs.get(v + v2, 0) | blocks & copy
+            eq = pairs
+        yield bounds, eq
 
 
-def _members(cols, bounds, full):
-    """Bitset of last-slot indices where every inequality holds."""
-    member = full
-    for col, b in zip(cols, bounds):
-        member &= col.le(b)
-        if not member:
-            break
-    return member
+def _scan(tables, n, n_slots):
+    """Member bitset of each head row: every inequality ANDed in, one by one."""
+    rows = [(1 << n_slots ** _tail(n)) - 1] * n_slots ** (n - _tail(n))
+    for bounds, eq in _walls(tables, n, n_slots):
+        values = sorted(eq)
+        le = list(itertools.accumulate((eq[v] for v in values), or_, initial=0))
+        holds = {b: le[bisect_right(values, b)] for b in set(bounds)}
+        rows = [m and m & holds[b] for m, b in zip(rows, bounds)]
+    return rows
 
 
 def _bits(x):
@@ -504,60 +506,69 @@ def _bits(x):
         x ^= low
 
 
+def _cell(row, bit, n, n_slots):
+    """The index combo of one cell: head row `row`, tail bit `bit`."""
+    pos, combo = row * n_slots ** _tail(n) + bit, []
+    for _ in range(n):
+        pos, k = divmod(pos, n_slots)
+        combo.append(k)
+    return tuple(combo[::-1])
+
+
+def _cells(rows, n, n_slots):
+    """Every index combo set in the head rows, in itertools.product order."""
+    return (_cell(h, j, n, n_slots) for h, m in enumerate(rows) for j in _bits(m))
+
+
+def _first_tight(rows, tables, n, n_slots):
+    """Per inequality, the first combo set in rows where it is tight, or None."""
+    return [
+        next((_cell(h, next(_bits(t)), n, n_slots)
+              for h, (m, b) in enumerate(zip(rows, bounds))
+              if (t := m & eq.get(b, 0))), None)
+        for bounds, eq in _walls(tables, n, n_slots)
+    ]
+
+
 def _grid_scan(tables, sub_tables, n, n_slots, zero_index):
     """Membership scan of the full grid.
 
     Returns (member count, violation records, boundary witness combos).
-    A violation names the offending index combo; the boundary list holds
-    one tight combo per ambient inequality (the all-zero combo when no
-    grid member is tight on that wall).
+    A violation names the offending index combo; the boundary list holds,
+    per ambient inequality, the first grid member other than the all-zero
+    combo that is tight on it (the all-zero combo when there is none).
     """
-    m = len(tables)
-    both, rows, full = _grid_scan_rows(tables + sub_tables, n, n_slots)
-    cols, sub_cols = both[:m], both[m:]
-    count = 0
-    violations = []
-    witness = [None] * m
-    for head, bounds in rows:
-        member = _members(cols, bounds, full)
-        if not member:
-            continue
-        count += member.bit_count()
-        bad = member & ~_members(sub_cols, bounds[m:], full)
-        violations += ({"tuple": head + (j,)} for j in _bits(bad))
-        for qi in [qi for qi, w in enumerate(witness) if w is None]:
-            tight = member & cols[qi].eq(bounds[qi])
-            if tight:
-                witness[qi] = head + (next(_bits(tight)),)
+    members = _scan(tables, n, n_slots)
+    subs = _scan(sub_tables, n, n_slots)
+    count = sum(m.bit_count() for m in members)
+    violations = [{"tuple": c} for c in _cells(
+        (m & ~s for m, s in zip(members, subs)), n, n_slots)]
 
+    # the all-zero combo is tight on every wall, so the witnesses skip it
     zero_combo = (zero_index,) * n
-    boundary = [zero_combo if w is None else w for w in witness]
+    row, bit = divmod(sum(zero_index * n_slots ** i for i in range(n)),
+                      n_slots ** _tail(n))
+    members[row] &= ~(1 << bit)
+    boundary = [zero_combo if w is None else w
+                for w in _first_tight(members, tables, n, n_slots)]
     for qi, w in enumerate(boundary):
         if any(sum(t[i][w[i]] for i in range(n)) > 0 for t in sub_tables):
             violations.append({"facet": qi, "tuple": w})
     return count, violations, boundary
 
 
-def _region_scan(S: IneqSystem, slot_coords):
-    """_grid_scan_rows of S over slot_coords^n.
-
-    Rational slot_coords are scaled by one common positive integer, which
-    keeps the sign of every value.
-    """
+def _region_tables(S: IneqSystem, slot_coords):
+    """_value_tables of S over slot_coords, exact for rational coordinates."""
+    # scaling by one common positive integer keeps the sign of every value
     coords = [tuple(Fraction(x) for x in c) for c in slot_coords]
     d = lcm(*(x.denominator for c in coords for x in c))
-    coords = [tuple(int(x * d) for x in c) for c in coords]
-    return _grid_scan_rows(_value_tables(S, coords), S.n, len(coords))
+    return _value_tables(S, [tuple(int(x * d) for x in c) for c in coords])
 
 
 def feasible_on_grid(S: IneqSystem, slot_coords):
     """Index tuples of slot_coords entries satisfying every inequality."""
-    cols, rows, full = _region_scan(S, slot_coords)
-    return {
-        head + (j,)
-        for head, bounds in rows
-        for j in _bits(_members(cols, bounds, full))
-    }
+    rows = _scan(_region_tables(S, slot_coords), S.n, len(slot_coords))
+    return set(_cells(rows, S.n, len(slot_coords)))
 
 
 def regions_agree_on_grid(S1: IneqSystem, S2: IneqSystem, slot_coords):
@@ -568,7 +579,9 @@ def regions_agree_on_grid(S1: IneqSystem, S2: IneqSystem, slot_coords):
     """
     if S1.n != S2.n or S1.root_system is not S2.root_system:
         raise UsageError("systems must share group and n")
-    return feasible_on_grid(S1, slot_coords) == feasible_on_grid(S2, slot_coords)
+    tables1, tables2 = (_region_tables(S, slot_coords) for S in (S1, S2))
+    n_slots = len(slot_coords)
+    return _scan(tables1, S1.n, n_slots) == _scan(tables2, S2.n, n_slots)
 
 
 def facet_witnesses(S: IneqSystem, slot_coords):
@@ -578,19 +591,14 @@ def facet_witnesses(S: IneqSystem, slot_coords):
     being the first such tuple in itertools.product order; misses are
     possible at coarse resolution and are reported rather than fatal.
     """
-    cols, rows, full = _region_scan(S, slot_coords)
-    witness = [None] * len(cols)
-    for head, bounds in rows:
-        member = _members(cols, bounds, full)
-        if not member:
-            continue
-        # a member tight on exactly one wall is strict on all the others
-        tight = [member & col.eq(b) for col, b in zip(cols, bounds)]
-        once = twice = 0
-        for t in tight:
-            twice |= once & t
-            once |= t
-        for qi, t in enumerate(tight):
-            if witness[qi] is None and t & ~twice:
-                witness[qi] = head + (next(_bits(t & ~twice)),)
-    return list(enumerate(witness))
+    tables, n, n_slots = _region_tables(S, slot_coords), S.n, len(slot_coords)
+    rows = _scan(tables, n, n_slots)
+    # a member tight on exactly one wall is strict on all the others
+    once, twice = [0] * len(rows), [0] * len(rows)
+    for bounds, eq in _walls(tables, n, n_slots):
+        for h, (m, b) in enumerate(zip(rows, bounds)):
+            t = m & eq.get(b, 0)
+            twice[h] |= once[h] & t
+            once[h] |= t
+    alone = [m & ~t for m, t in zip(rows, twice)]
+    return list(enumerate(_first_tight(alone, tables, n, n_slots)))

@@ -174,14 +174,6 @@ def simple_reflection(R, i):
     return WeylElement(R, _ctx(R).refl[i - 1], 1)
 
 
-def reflection(R, beta):
-    """The reflection through an arbitrary root beta (epsilon coordinates)."""
-    k = R.root_index(beta)
-    if k is None:
-        raise UsageError("not a root")
-    return root_reflection(R, k)
-
-
 def root_reflection(R, k):
     """The reflection through the k-th positive root (and its negative)."""
     fw, cvee = R.root_fw[k], R.root_coroot[k]

@@ -258,6 +258,26 @@ def test_verify_thm_proj(capsys):
     assert doc["report"]["violations"] == []
 
 
+# the benchmark pins the n = 3 reports; its file is read, never written here
+BENCH_DIGESTS = json.loads(
+    (Path(__file__).parents[1] / "bench" / "expected.json").read_text())
+# recorded from the row-by-row grid kernel that the one-inequality-at-a-time
+# scan replaced (about 25 s there; 15,773,648 grid members)
+THM_PROJ_N4_SHA256 = "0f49ae5ef267e0cd3abba7f90ea3d2b12893272f6d19d3a49d58c7ea20af273e"
+
+
+@pytest.mark.parametrize("argv,sha256", [
+    (("--r", "3", "--s", "2"), BENCH_DIGESTS["proj-C-r3-s2"]["sha256"]),
+    (("--r", "3", "--s", "1", "--group", "B"),
+     BENCH_DIGESTS["proj-B-r3-s1"]["sha256"]),
+    (("--r", "3", "--s", "2", "--n", "4"), THM_PROJ_N4_SHA256),
+], ids=["proj-C-r3-s2", "proj-B-r3-s1", "C-r3-s2-n4"])
+def test_verify_thm_proj_reports_are_pinned(argv, sha256, capsys):
+    code, out, _ = run(capsys, "verify", "thm-proj", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 @pytest.mark.parametrize("argv,code,needle", [
     (("--group", "G2", "--r", "2", "--s", "1"), 2, "B and C"),
     (("--group", "D", "--r", "3", "--s", "2"), 2, "B and C"),

@@ -177,11 +177,14 @@ def reference_grid_scan(tables, sub_tables, n, n_slots, zero_index):
         for combo in members
         if any(sum(t[i][combo[i]] for i in range(n)) > 0 for t in sub_tables)
     ]
+    zero_combo = (zero_index,) * n
     boundary = []
     for qi, t in enumerate(tables):
+        # the first tight member other than the all-zero combo, else that combo
         witness = next(
-            (c for c in members if sum(t[i][c[i]] for i in range(n)) == 0),
-            (zero_index,) * n,
+            (c for c in members
+             if c != zero_combo and sum(t[i][c[i]] for i in range(n)) == 0),
+            zero_combo,
         )
         boundary.append(witness)
         if any(
@@ -193,7 +196,7 @@ def reference_grid_scan(tables, sub_tables, n, n_slots, zero_index):
 
 @st.composite
 def scan_inputs(draw):
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
     n_slots = draw(st.integers(1, 6))
     row = st.lists(st.integers(-3, 3), min_size=n_slots, max_size=n_slots)
 
@@ -231,21 +234,30 @@ def brute_force_members(S, grid):
     return members
 
 
-@pytest.mark.parametrize("kind", ["C", "G2"])
-def test_region_helpers_match_brute_force(kind):
+# n = 2 keeps the last slot alone as the tail; n = 3 and n = 4 fold the last
+# two slots into one bitset, and n = 4 has a two-slot head as well
+@pytest.mark.parametrize("kind,n,steps", [
+    pytest.param(kind, n, steps, id=f"{kind}{label}")
+    for kind in ("C", "G2")
+    for n, steps, label in ((3, HALF_STEPS, ""), (2, HALF_STEPS, "-n2"),
+                            (4, HALF_STEPS[:3], "-n4"))
+])
+def test_region_helpers_match_brute_force(kind, n, steps):
     R = build_root_system(kind, 2)
-    grid = grid_coords(2, HALF_STEPS)
-    levi = generate_inequalities(R, 3, "levi")
-    nonzero = generate_inequalities(R, 3, "nonzero")
-    fewer = IneqSystem(R, 3, "levi", levi.inequalities[1:])
+    grid = grid_coords(2, steps)
+    levi = generate_inequalities(R, n, "levi")
+    nonzero = generate_inequalities(R, n, "nonzero")
+    fewer = IneqSystem(R, n, "levi", levi.inequalities[1:])
     members = {S: brute_force_members(S, grid) for S in (levi, nonzero, fewer)}
 
     assert feasible_on_grid(levi, grid) == set(members[levi])
     for S in (nonzero, fewer):
         expected = members[S].keys() == members[levi].keys()
         assert regions_agree_on_grid(S, levi, grid) is expected
-    # dropping a wall of an irredundant system widens the grid region
-    assert not regions_agree_on_grid(fewer, levi, grid)
+    # dropping a wall of an irredundant system widens the grid region; at
+    # n = 2 the cone is not full-dimensional, so its walls need not be facets
+    if n >= 3:
+        assert not regions_agree_on_grid(fewer, levi, grid)
 
     expected = [
         (qi, next(
@@ -345,6 +357,24 @@ def test_verify_projection_c21():
     assert rep["violations"] == []
     assert rep["section_identity"]
     assert rep["grid_members"] > 0
+
+
+@pytest.mark.parametrize("r,s,kind", [(3, 2, "C"), (3, 1, "B"), (2, 1, "C")])
+def test_projection_boundary_witnesses_skip_the_origin(r, s, kind, monkeypatch):
+    # the all-zero tuple is tight on every wall, so as a witness it checks
+    # nothing; each wall has a grid member other than it that is tight
+    scans = []
+
+    def recording(*args):
+        scans.append(_grid_scan(*args))
+        return scans[-1]
+
+    monkeypatch.setattr("eigencones.cones._grid_scan", recording)
+    rep = verify_projection(r, s, 3, kind=kind)
+    ((_, violations, boundary),) = scans
+    assert len(boundary) == rep["boundary_points"] == rep["ambient_inequalities"]
+    assert (0, 0, 0) not in boundary
+    assert violations == [] and rep["ok"]
 
 
 def test_verify_projection_bad_ranks():

@@ -29,17 +29,29 @@ def test_no_assert_and_no_numpy(path):
             assert not _is_numpy(node.module), where
 
 
-@pytest.mark.parametrize("method", ["_localization", "theta"])
-def test_no_fraction_in_the_int_hot_paths(method):
+def _function(module, name):
+    path = Path(eigencones.__file__).parent / f"{module}.py"
+    node = ast.parse(path.read_text(), str(path))
+    for part in name.split("."):
+        (node,) = [n for n in node.body
+                   if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                   and n.name == part]
+    return node
+
+
+@pytest.mark.parametrize("module,name", [
     # restrictions, Euler factors and theta are ints at the generic point
-    path = Path(eigencones.__file__).parent / "schubert.py"
-    tree = ast.parse(path.read_text(), str(path))
-    (cls,) = [n for n in tree.body
-              if isinstance(n, ast.ClassDef) and n.name == "FlagVariety"]
-    (fn,) = [n for n in cls.body
-             if isinstance(n, ast.FunctionDef) and n.name == method]
-    names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
-    assert "Fraction" not in names, f"Fraction in FlagVariety.{method}"
+    pytest.param("schubert", "FlagVariety._localization", id="_localization"),
+    pytest.param("schubert", "FlagVariety.theta", id="theta"),
+    # the grid kernel scans int value tables as int bitsets
+    *(pytest.param("cones", fn, id=f"cones.{fn}")
+      for fn in ("_value_tables", "_tail", "_value_sets", "_walls", "_scan",
+                 "_bits", "_cell", "_cells", "_first_tight", "_grid_scan")),
+])
+def test_no_fraction_in_the_int_hot_paths(module, name):
+    names = {n.id for n in ast.walk(_function(module, name))
+             if isinstance(n, ast.Name)}
+    assert "Fraction" not in names, f"Fraction in {module}.{name}"
 
 
 def test_weyl_keeps_no_epsilon_data():
@@ -78,11 +90,7 @@ EPSILON_NAMES = {"killing", "coroot_pairing", "fw_coords", "alpha_coords",
 ])
 def test_embeddings_read_only_int_root_rows(module, name):
     # orbits are named in simple-root coordinates; epsilon is a view
-    path = Path(eigencones.__file__).parent / f"{module}.py"
-    node = ast.parse(path.read_text(), str(path))
-    for part in name.split("."):
-        (node,) = [n for n in node.body
-                   if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == part]
+    node = _function(module, name)
     used = {getattr(n, "id", None) for n in ast.walk(node)}
     used |= {getattr(n, "attr", None) for n in ast.walk(node)}
     assert not used & EPSILON_NAMES, f"{name} uses {sorted(used & EPSILON_NAMES)}"
