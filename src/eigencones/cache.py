@@ -12,6 +12,8 @@ import json
 import os
 from pathlib import Path
 
+from .errors import UsageError
+
 CACHE_VERSION = 1
 
 # names the Schubert basis convention the constants were computed in
@@ -28,11 +30,12 @@ class JsonlStore:
 
     def load_structure_constants(self, kind, rank, excluded):
         """(u word, v word) -> {w word: int}, or None when absent/stale/torn."""
-        path = self._path(kind, rank, excluded)
-        if not path.exists():
+        try:
+            text = self._path(kind, rank, excluded).read_text()
+        except (OSError, UnicodeDecodeError):  # absent, unreadable or not UTF-8
             return None
         table = {}
-        for line in path.read_text().splitlines():
+        for line in text.splitlines():
             if not line.strip():
                 continue
             try:
@@ -47,7 +50,6 @@ class JsonlStore:
         return table
 
     def save_structure_constants(self, kind, rank, excluded, table):
-        self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(kind, rank, excluded)
         lines = []
         for (u, v) in sorted(table):
@@ -63,7 +65,12 @@ class JsonlStore:
         # a reader never sees a half-written file
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text("\n".join(lines) + "\n")
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+            self.directory.mkdir(parents=True, exist_ok=True)
+            try:
+                tmp.write_text("\n".join(lines) + "\n")
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
+        except OSError as e:
+            raise UsageError(f"cache directory {str(self.directory)!r} is not "
+                             f"usable: {e.strerror or e}") from None

@@ -4,6 +4,9 @@ Every report is deterministic for a fixed configuration: JSON is emitted
 with sorted keys, CSV with a fixed header row, and the table format mirrors
 the digit-string word layout of the printed coset tables.  Exit codes:
 0 success, 1 verification failure, 2 usage error, 3 resource cap.
+
+Each command imports the layers it runs beyond rootsys and weyl in its own
+body, so a process compiles and runs only those.
 """
 
 from __future__ import annotations
@@ -13,14 +16,6 @@ import json
 import sys
 from fractions import Fraction
 
-from .cache import JsonlStore
-from .cones import (
-    SCHEMA_VERSION,
-    generate_inequalities,
-    membership,
-    verify_projection,
-    verify_subeigencone,
-)
 from .errors import (
     ConfigurationError,
     EigenconesError,
@@ -28,9 +23,13 @@ from .errors import (
     UsageError,
     VerificationError,
 )
-from .isogr import index_dictionary_rows, orbit_table_rows
-from .rootsys import Weight, build_embedding, build_root_system, root_system_to_json
-from .schubert import flag_variety, structure_constants
+from .rootsys import (
+    SCHEMA_VERSION,
+    Weight,
+    build_embedding,
+    build_root_system,
+    root_system_to_json,
+)
 from .weyl import (
     ParabolicSpec,
     check_digit_words,
@@ -132,6 +131,8 @@ def cmd_cosets(args):
 
 
 def cmd_multiply(args):
+    from .schubert import flag_variety, structure_constants
+
     R = _parse_group(args.group, args.rank)
     F = flag_variety(R, args.parabolic)
     words = args.words.split(",")
@@ -141,6 +142,8 @@ def cmd_multiply(args):
     if u not in F.index or v not in F.index:  # before the cache lookup
         raise UsageError(f"{F.label}: factors must be basis classes")
     if args.cache_dir:
+        from .cache import JsonlStore
+
         store = JsonlStore(args.cache_dir)
         table = store.load_structure_constants(R.kind, R.rank, args.parabolic)
         key = (word_str(u), word_str(v))
@@ -161,6 +164,8 @@ def cmd_multiply(args):
 
 
 def cmd_inequalities(args):
+    from .cones import generate_inequalities
+
     R = _parse_group(args.group, args.rank)
     S = generate_inequalities(R, args.n, args.tier, tuple_cap=args.tuple_cap)
     doc = S.to_json()
@@ -212,6 +217,8 @@ def _parse_weights(R, n, text):
 
 
 def cmd_membership(args):
+    from .cones import generate_inequalities, membership
+
     R = _parse_group(args.group, args.rank)
     lams = _parse_weights(R, args.n, args.weights)
     S = generate_inequalities(R, args.n, args.tier, tuple_cap=args.tuple_cap)
@@ -230,6 +237,8 @@ def cmd_membership(args):
 
 
 def cmd_verify(args):
+    from .cones import verify_projection, verify_subeigencone
+
     if args.target == "thm-main":
         if args.case is None:
             raise UsageError("verify thm-main needs --case")
@@ -318,6 +327,9 @@ def cmd_tables(args):
     if args.which == "index":
         if args.parabolic is None:
             raise UsageError("tables index needs --parabolic")
+        from .isogr import index_dictionary_rows
+        from .schubert import flag_variety
+
         R = _parse_group(args.group, args.rank)
         F = flag_variety(R, args.parabolic)
         rows = index_dictionary_rows(F)
@@ -336,6 +348,8 @@ def cmd_tables(args):
     if args.which == "orbits":
         if args.r is None or not 2 <= args.r <= 9:  # before any rows are built
             raise UsageError("tables orbits needs --r with 2 <= r <= 9")
+        from .isogr import orbit_table_rows
+
         rows = orbit_table_rows(args.r)
         csv_rows = [("k", "r", "O1", "O2", "O2'", "O3")] + [
             (r["k"], r["r"], r["O1"], r["O2"], r["O2'"], r["O3"]) for r in rows

@@ -20,6 +20,7 @@ from operator import mul, or_
 
 from .errors import ConfigurationError, ResourceCapError, UsageError, VerificationError
 from .rootsys import (
+    SCHEMA_VERSION,
     RootSystem,
     Weight,
     build_embedding,
@@ -36,7 +37,6 @@ from .weyl import (
     word_str,
 )
 
-SCHEMA_VERSION = 1
 TIERS = ("nonzero", "point", "levi")
 GRID_TOP = 3          # verify_projection scans fw coordinates 0..GRID_TOP
 GRID_CAP_EXPONENT = 12  # the grid has (GRID_TOP + 1) ** (r * n) cells

@@ -21,7 +21,7 @@ reflections (module weyl).  Epsilon orbits and images are a view.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -30,7 +30,7 @@ from operator import mul
 from .errors import ConfigurationError, UsageError
 from .linalg import dot, integer_multiple, mat_inv, vadd, vec, vscale
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # of every JSON document the package writes
 
 _COUNTS = {
     "A": lambda r: r * (r + 1) // 2,
@@ -109,7 +109,6 @@ class RootSystem:
     root_fw: tuple                 # fundamental-weight coordinates, a . C
     root_coroot: tuple             # the coroot over the simple coroots
     weight_gram: tuple             # ints: a positive multiple of (omega_i, omega_j)
-    _index: dict = field(repr=False)  # epsilon positive root -> its position
 
     # -- pairings ---------------------------------------------------------
 
@@ -122,10 +121,6 @@ class RootSystem:
         return 2 * dot(v, beta) / dot(beta, beta)
 
     # -- coordinate changes ----------------------------------------------
-
-    def alpha_coords(self, v):
-        """Coordinates of v over the simple roots (v must lie in their span)."""
-        return self.fw_to_alpha(self.fw_coords(v))
 
     def fw_to_alpha(self, coords):
         """Fundamental-weight coordinates to coordinates over the simple roots."""
@@ -142,15 +137,6 @@ class RootSystem:
         for c, w in zip(coords, self.fundamental_weights):
             out = vadd(out, vscale(c, w))
         return out
-
-    def root_index(self, v):
-        """Position in positive_roots of whichever of +-v is there, else None."""
-        v = tuple(v)
-        i = self._index.get(v)
-        return self._index.get(tuple(-x for x in v)) if i is None else i
-
-    def is_positive_root(self, v):
-        return tuple(v) in self._index
 
     @property
     def label(self):
@@ -283,7 +269,6 @@ def build_root_system(kind, rank):
         root_fw=root_fw,
         root_coroot=tuple(root_coroot),
         weight_gram=weight_gram,
-        _index={b: k for k, b in enumerate(pos_roots)},
     )
     _check_root_system(R)
     return R

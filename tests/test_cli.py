@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import eigencones
 from eigencones.cache import JsonlStore
 from eigencones.cli import main
 from eigencones.schubert import FlagVariety, flag_variety
@@ -109,7 +113,7 @@ def test_multiply_cache_roundtrip(tmp_path, capsys):
     assert (code3, out3) == (code1, out1)
 
 
-@pytest.mark.parametrize("damage", ["torn", "dropped"])
+@pytest.mark.parametrize("damage", ["torn", "dropped", "not-utf8"])
 def test_multiply_cache_survives_a_partial_file(damage, tmp_path, capsys):
     args = ("multiply", "--group", "G2", "--parabolic", "1",
             "--words", "21,121", "--cache-dir", str(tmp_path))
@@ -119,8 +123,10 @@ def test_multiply_cache_survives_a_partial_file(damage, tmp_path, capsys):
     lines = path.read_text().splitlines(keepends=True)
     if damage == "torn":   # cut mid-record, as an interrupted write leaves it
         path.write_text("".join(lines[:len(lines) // 2]) + lines[-1][:10])
-    else:                  # whole records lost, the requested pair among them
+    elif damage == "dropped":  # whole records lost, the requested pair among them
         path.write_text("".join(lines[:2]))
+    else:
+        path.write_bytes(b"\xff\xfe\n")
     assert run(capsys, *args) == cold
     table = JsonlStore(tmp_path).load_structure_constants("G2", 2, 1)
     assert ("21", "121") in table
@@ -136,6 +142,22 @@ def test_cache_rejects_stale_version(tmp_path):
     rec["cache_version"] = 0
     path.write_text(json.dumps(rec) + "\n")
     assert store.load_structure_constants("C", 2, 1) is None
+
+
+@pytest.mark.parametrize("cache_dir", ["file", "file/sub"])
+def test_unusable_cache_dir_exits_2_with_one_line(cache_dir, tmp_path):
+    # a fresh process, so that a traceback would reach stderr
+    (tmp_path / "file").write_text("")
+    proc = subprocess.run(
+        [sys.executable, "-m", "eigencones.cli", "multiply", "--group", "C3",
+         "--parabolic", "2", "--words", "2,12", "--cache-dir", cache_dir],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(eigencones.__file__).parents[1])),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("usage error: ") and repr(cache_dir) in line
 
 
 def test_inequalities_csv(capsys):
@@ -305,7 +327,7 @@ def test_tables_orbits_r_checked_before_the_rows(r, monkeypatch, capsys):
     def fail(*args):
         raise AssertionError("orbit rows started")
 
-    monkeypatch.setattr("eigencones.cli.orbit_table_rows", fail)
+    monkeypatch.setattr("eigencones.isogr.orbit_table_rows", fail)
     code, out, err = run(capsys, "tables", "orbits", "--r", r)
     assert code == 2 and out == "" and "2 <= r <= 9" in err
     assert len(err.strip().splitlines()) == 1

@@ -28,6 +28,8 @@ from eigencones.weyl import (
     word_to_element,
 )
 
+from test_rootsys import alpha_coords, is_positive_root
+
 GROUP_ORDERS = {
     ("A", 1): 2,
     ("A", 2): 6,
@@ -82,7 +84,7 @@ def test_length_counts_inversions():
     for w in generate_weyl_group(R):
         inversions = sum(
             1 for beta in R.positive_roots
-            if not R.is_positive_root(w.apply_eps(beta))
+            if not is_positive_root(R, w.apply_eps(beta))
         )
         assert inversions == w.length
 
@@ -93,7 +95,7 @@ def _reference_length(w):
     R = w.root_system
     return sum(
         1 for beta in R.positive_roots
-        if any(c < 0 for c in R.alpha_coords(R.from_fw(w.apply_fw(R.fw_coords(beta)))))
+        if any(c < 0 for c in alpha_coords(R, R.from_fw(w.apply_fw(R.fw_coords(beta)))))
     )
 
 
@@ -184,7 +186,7 @@ def test_minimal_rep_idempotent_and_criterion():
         assert is_minimal_rep(m, P)
         # minimality criterion: m(alpha) > 0 for every Levi simple root
         for i in P.levi_simple:
-            assert R.is_positive_root(m.apply_eps(R.simple_roots[i - 1]))
+            assert is_positive_root(R, m.apply_eps(R.simple_roots[i - 1]))
 
 
 def test_dual_rep_involution():
