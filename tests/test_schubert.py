@@ -67,6 +67,24 @@ def test_projective_space_divisor_powers():
     assert c.point_coefficient() == 1
 
 
+CHEVALLEY_CASES = [
+    *((kind, rank, p) for kind, rank in [("A", 3), ("B", 3), ("C", 3), ("C", 4),
+                                         ("D", 4), ("G2", 2)]
+      for p in range(1, rank + 1)),
+    ("F4", 4, 1), ("F4", 4, 4),
+]
+
+
+@pytest.mark.parametrize("kind,rank,p", CHEVALLEY_CASES)
+def test_chevalley_rule_matches_the_divisor_cup_product(kind, rank, p):
+    # the classical rule against localization, on every class
+    FA = F(kind, rank, p)
+    d = divisor_element(FA)
+    for w in FA.basis:
+        got = chevalley_multiply(FA, p, CohomClass(FA, {w: 1}))
+        assert got.coeffs == FA.cup_product(d, w).coeffs, word_str(w)
+
+
 def test_gr24_pieri_square():
     FA = flag_variety(build_root_system("A", 3), 2)  # Gr(2,4)
     d = divisor_element(FA)
