@@ -19,6 +19,7 @@ from math import gcd, lcm
 from operator import mul, or_
 
 from .errors import ConfigurationError, ResourceCapError, UsageError, VerificationError
+from .linalg import set_bits
 from .rootsys import (
     SCHEMA_VERSION,
     RootSystem,
@@ -27,6 +28,7 @@ from .rootsys import (
     build_root_system,
     embed_weight,
     restrict_weight_via_embedding,
+    weight_coords,
 )
 from .schubert import flag_variety, point_product_tuples
 from .weyl import (
@@ -193,22 +195,13 @@ def generate_inequalities(R: RootSystem, n, tier, tuple_cap=None):
     return IneqSystem(R, n, tier, tuple(seen.values()))
 
 
-def _coords_of(lam, R):
-    if isinstance(lam, Weight):
-        if lam.root_system is not R:
-            raise UsageError("weight belongs to a different root system")
-        return lam.coords
-    return tuple(Fraction(x) for x in lam)
-
-
 def membership(lams, S: IneqSystem):
-    """(member?, violated inequalities); exact rational evaluation."""
+    """(member?, violated inequalities); exact, on ints for integral weights."""
     if len(lams) != S.n:
         raise UsageError(f"expected {S.n} weights, got {len(lams)}")
-    coords = [_coords_of(lam, S.root_system) for lam in lams]
-    for c in coords:
-        if any(x < 0 for x in c):
-            raise UsageError("membership requires dominant weights")
+    coords = [weight_coords(S.root_system, lam) for lam in lams]
+    if any(x < 0 for c in coords for x in c):
+        raise UsageError("membership requires dominant weights")
     violated = [q for q in S.inequalities if q.evaluate(coords) > 0]
     return len(violated) == 0, violated
 
@@ -384,13 +377,8 @@ def verify_projection(r, s, n, kind="C"):
     SM = generate_inequalities(sub, n, "levi")
 
     slot_coords = grid_coords(r, range(GRID_TOP + 1))
-    # projection of integer fw coordinates stays integral in both types
-    proj_coords = []
-    for c in slot_coords:
-        p = project_weight_BC(Weight(amb, c), s)
-        if any(x.denominator != 1 for x in p.coords):
-            raise VerificationError(f"projection of {c} is not integral")
-        proj_coords.append(tuple(int(x) for x in p.coords))
+    # the restriction pairs int coordinates with int coroot rows: ints in both types
+    proj_coords = [project_weight_BC(Weight(amb, c), s).coords for c in slot_coords]
 
     member_count, violations, boundary = _grid_scan(
         _value_tables(SG, slot_coords), _value_tables(SM, proj_coords),
@@ -481,7 +469,7 @@ def _walls(tables, n, n_slots):
             copies = [(v2, bits * ones) for v2, bits in eq.items()]
             pairs = {}
             for v, ks in _value_sets(t[-2]).items():
-                blocks = sum(block << k * n_slots for k in _bits(ks))
+                blocks = sum(block << k * n_slots for k in set_bits(ks))
                 for v2, copy in copies:
                     pairs[v + v2] = pairs.get(v + v2, 0) | blocks & copy
             eq = pairs
@@ -499,13 +487,6 @@ def _scan(tables, n, n_slots):
     return rows
 
 
-def _bits(x):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 def _cell(row, bit, n, n_slots):
     """The index combo of one cell: head row `row`, tail bit `bit`."""
     pos, combo = row * n_slots ** _tail(n) + bit, []
@@ -517,13 +498,13 @@ def _cell(row, bit, n, n_slots):
 
 def _cells(rows, n, n_slots):
     """Every index combo set in the head rows, in itertools.product order."""
-    return (_cell(h, j, n, n_slots) for h, m in enumerate(rows) for j in _bits(m))
+    return (_cell(h, j, n, n_slots) for h, m in enumerate(rows) for j in set_bits(m))
 
 
 def _first_tight(rows, tables, n, n_slots):
     """Per inequality, the first combo set in rows where it is tight, or None."""
     return [
-        next((_cell(h, next(_bits(t)), n, n_slots)
+        next((_cell(h, next(set_bits(t)), n, n_slots)
               for h, (m, b) in enumerate(zip(rows, bounds))
               if (t := m & eq.get(b, 0))), None)
         for bounds, eq in _walls(tables, n, n_slots)

@@ -1,9 +1,9 @@
 """Tiny exact linear algebra over Fraction.
 
 Only what the root-system and Weyl machinery needs: vector arithmetic,
-inverses of Cartan and Gram matrices, and clearing denominators so that
-the root rows and the Weyl kernel are ints.  Everything is tuples of
-Fractions or ints; no floats.
+inverses of Cartan and Gram matrices, clearing denominators so that the
+root rows and the Weyl kernel are ints, and the set bits of an int bitset.
+Everything is tuples of Fractions or ints; no floats.
 """
 
 from fractions import Fraction
@@ -25,6 +25,14 @@ def vscale(c, a):
 
 def dot(a, b):
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+
+
+def set_bits(x):
+    """Positions of the set bits of an int, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def mat_inv(m):

@@ -27,7 +27,7 @@ from functools import lru_cache
 from operator import add, mul, sub
 
 from .errors import ResourceCapError, UsageError, VerificationError
-from .rootsys import RootSystem, Weight
+from .rootsys import RootSystem, weight_coords
 from .weyl import generate_weyl_group, longest_element
 
 DIM_CAP = 1_000_000
@@ -45,17 +45,10 @@ def _forms(R):
 
 
 def _fw_coords(R, lam):
-    if isinstance(lam, Weight):
-        if lam.root_system is not R:
-            raise UsageError("weight belongs to a different root system")
-        coords = lam.coords
-    else:
-        coords = tuple(Fraction(x) for x in lam)
-    if len(coords) != R.rank:
-        raise UsageError("coordinate length does not match rank")
-    if any(x < 0 or x.denominator != 1 for x in coords):
+    coords = weight_coords(R, lam)
+    if any(x < 0 or type(x) is not int for x in coords):
         raise UsageError("need a dominant integral weight")
-    return tuple(int(x) for x in coords)
+    return coords
 
 
 def _norm(gram, v):

@@ -153,6 +153,10 @@ class Weight:
     def __post_init__(self):
         if len(self.coords) != self.root_system.rank:
             raise UsageError("coordinate length does not match rank")
+        # exact coordinates, and ints wherever they are integral
+        exact = map(Fraction, self.coords)
+        object.__setattr__(self, "coords", tuple(
+            x.numerator if x.denominator == 1 else x for x in exact))
 
     @property
     def ambient(self):
@@ -175,6 +179,15 @@ class Weight:
 
     def __hash__(self):
         return hash((self.root_system.kind, self.root_system.rank, self.coords))
+
+
+def weight_coords(R, lam):
+    """The coordinates of a Weight over R, or of a plain tuple read as one."""
+    if not isinstance(lam, Weight):
+        return Weight(R, tuple(lam)).coords
+    if lam.root_system is not R:
+        raise UsageError("weight belongs to a different root system")
+    return lam.coords
 
 
 def _positive_alpha_coords(C):

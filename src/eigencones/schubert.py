@@ -6,36 +6,31 @@ representative is the unit.  This is the convention the eigencone formulas
 use (theta of (e, top, ..., top) must vanish).
 
 Products are computed by torus-fixed-point localization: equivariant
-restrictions of Schubert classes (Billey's subword formula) are evaluated at
-a generic point of the Cartan, where an intersection number with matching
-total degree is a degree-zero class, i.e. the exact integer.  The generic
-point gives the j-th simple root the value 11^j, so every root (looked up by
-its int fundamental-weight coordinates) has a nonzero int value: restrictions
-and Euler factors e_v are ints, and an integral is an int sum over the fixed
-points v of terms scaled by E / e_v, for E the lcm of the e_v, divided once
-by E.  theta sums one cached int chi_w(x_P) per class.  The classical
-Chevalley rule is implemented independently and used to cross-check divisor
-products; the two routes share no code.
+restrictions of Schubert classes are evaluated at a generic point of the
+Cartan, where an intersection number with matching total degree is a
+degree-zero class, i.e. the exact integer.  The generic point gives the j-th
+simple root the value 11^j, so every root has a nonzero int value.  The
+restrictions follow the equivariant Chevalley rule (Kostant-Kumar 1986),
+filled from the longest class down with one exact int division per entry,
+and are kept by basis position with a bitset of the fixed points v >= w where
+sigma_w is non-zero.  An integral is an int sum over the common support of
+terms scaled by E / e_v, for E the lcm of the Euler factors e_v, divided once
+by E.  theta sums one cached int chi_w(x_P) per class.  chevalley_multiply
+reads the recursion's covers; the tests check both against Billey's formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import lru_cache, reduce
+from math import lcm, prod
+from operator import and_, mul, or_
 
 from .errors import ResourceCapError, UsageError, VerificationError
+from .linalg import integer_multiple, set_bits
 from .rootsys import RootSystem, Weight
-from .weyl import (
-    ParabolicSpec,
-    dual_rep,
-    identity,
-    minimal_coset_reps,
-    root_reflection,
-    simple_reflection,
-    word_str,
-)
+from .weyl import ParabolicSpec, dual_rep, minimal_coset_reps, root_reflection, word_str
 
 GRADED_PIECE_CAP = 30
 TUPLE_CAP = 1_000_000
@@ -61,12 +56,16 @@ class FlagVariety:
                 cap=graded_cap,
             )
         self.by_codim = by_codim
-        # positive roots outside the Levi, in int fw coordinates
-        outside = [a[excluded - 1] != 0 for a in R.root_alpha]
-        levi = [fw for fw, out in zip(R.root_fw, outside) if not out]
-        self._outside_fw = tuple(fw for fw, out in zip(R.root_fw, outside) if out)
+        # positive roots beta outside the Levi: int fw coordinates,
+        # <omega_P, beta^vee> and the reflection r_beta
+        outside = [k for k, a in enumerate(R.root_alpha) if a[excluded - 1]]
+        levi = [fw for k, fw in enumerate(R.root_fw) if k not in outside]
+        self._outside_fw = tuple(R.root_fw[k] for k in outside)
+        self._outside_mult = tuple(R.root_coroot[k][excluded - 1] for k in outside)
+        self._outside_reflections = tuple(root_reflection(R, k) for k in outside)
         self._positive_fw = frozenset(R.root_fw)
         self._levi_sum = tuple(map(sum, zip((0,) * R.rank, *levi)))  # 2 rho^L
+        self._covers = {}
         self._tables = None
         self._chi = {}
         self._chi_xP = {}
@@ -92,46 +91,66 @@ class FlagVariety:
     def point_element(self):
         return self.basis[0]  # identity: codim = dim
 
+    def covers(self, w):
+        """(u, <omega_P, beta^vee>) for each u = w r_beta in W^P of length l(w) + 1.
+
+        Only roots outside the Levi qualify: a Levi reflection keeps the coset.
+        """
+        if w not in self._covers:
+            found = []
+            for r, mult in zip(self._outside_reflections, self._outside_mult):
+                j = self.index.get(w * r)
+                if j is not None and self.basis[j].length == w.length + 1:
+                    found.append((self.basis[j], mult))
+            self._covers[w] = tuple(found)
+        return self._covers[w]
+
     def _localization(self):
-        """(restrictions, multipliers E / e_v, E), built on the first call."""
+        """(restrictions, supports, multipliers E / e_v, E), built on the first call.
+
+        restrictions[i][j] is sigma_w(v) for the basis classes w, v at positions
+        i, j; it is non-zero exactly on the set bits of supports[i].
+        """
         if self._tables is not None:
             return self._tables
         R = self.root_system
-        values = {}  # fw coordinates of a root -> its value at the generic point
-        for a, fw in zip(R.root_alpha, R.root_fw):
-            val = sum(c * _GENERIC_BASE ** (j + 1) for j, c in enumerate(a))
-            if val == 0:
-                raise VerificationError("generic point vanished on a root")
-            values[fw] = val
-            values[tuple(-x for x in fw)] = -val
-        rest = {}
+        # the generic point on the fundamental weights, times d: exact on the root lattice
+        d, inv = integer_multiple(R.cartan_inverse)
+        omega = [sum(c * _GENERIC_BASE ** (j + 1) for j, c in enumerate(row)) for row in inv]
+
+        def value(fw):
+            return sum(map(mul, fw, omega)) // d
+
+        if not all(map(value, R.root_fw)):
+            raise VerificationError("generic point vanished on a root")
+        p = self.parabolic.excluded - 1
+        divisor, diagonal, euler = [], [], []
         for v in self.basis:
-            word = v.word
-            betas = []
-            prefix = identity(R)
-            for i in word:
-                betas.append(values[prefix.apply_fw(R.cartan_matrix[i - 1])])
-                prefix = prefix * simple_reflection(R, i)
-            # Billey subword sum as a DP over positions; states are the
-            # subword products, extended only when the length goes up
-            states = {identity(R): 1}
-            for i, bval in zip(word, betas):
-                new = dict(states)
-                for u, val in states.items():
-                    if u.sends_positive(i):
-                        u2 = u * simple_reflection(R, i)
-                        new[u2] = new.get(u2, 0) + val * bval
-                states = new
-            rest[v] = states
-        euler = {}
-        for v in self.basis:
-            e = 1
-            for b in self._outside_fw:
-                e *= -values[v.apply_fw(b)]
-            euler[v] = e
+            # D(v), the value of omega_P - v omega_P
+            divisor.append(value([int(i == p) - row[p] for i, row in enumerate(v.matrix)]))
+            # v is minimal in its coset, so the roots it inverts lie outside the Levi
+            images = [value(v.apply_fw(b)) for b in self._outside_fw]
+            diagonal.append(prod(-x for x in images if x < 0))
+            euler.append(prod(-x for x in images))
+        # the equivariant Chevalley rule at v, longest class first:
+        # (D(v) - D(w)) sigma_w(v) = sum over covers u of <omega_P, beta^vee> sigma_u(v)
+        n = len(self.basis)
+        rest, support = [None] * n, [0] * n
+        for i in reversed(range(n)):
+            covers = [(self.index[u], mult) for u, mult in self.covers(self.basis[i])]
+            above = reduce(or_, (support[k] for k, _ in covers), 0)
+            row = [0] * n
+            row[i] = diagonal[i]
+            for j in set_bits(above):
+                total = sum(mult * rest[k][j] for k, mult in covers)
+                gap = divisor[j] - divisor[i]
+                if gap == 0 or total % gap:
+                    raise VerificationError(f"{self.label}: Chevalley recursion is not exact")
+                row[j] = total // gap
+            rest[i], support[i] = row, above | 1 << i
         # |e_v| divides the product of |value| over the positive roots
-        denom = lcm(*euler.values())
-        self._tables = rest, {v: denom // e for v, e in euler.items()}, denom
+        denom = lcm(*euler)
+        self._tables = rest, support, [denom // e for e in euler], denom
         self._check_localization()
         return self._tables
 
@@ -147,23 +166,15 @@ class FlagVariety:
 
         Exact when the total length equals dim; zero below; undefined above.
         """
-        total = sum(w.length for w in ws)
+        total = sum(self.dim - self.codim(w) for w in ws)  # codim rejects non-basis w
         if total < self.dim:
             return Fraction(0)
         if total > self.dim:
             raise UsageError("integral of an over-degree product is not defined")
-        rest, mult, denom = self._localization()
-        acc = 0
-        for v in self.basis:
-            at_v = rest[v]
-            term = mult[v]
-            for w in ws:
-                r = at_v.get(w)
-                if not r:
-                    break
-                term *= r
-            else:
-                acc += term
+        rest, support, mult, denom = self._localization()
+        rows = [rest[self.index[w]] for w in ws]
+        common = reduce(and_, (support[self.index[w]] for w in ws))
+        acc = sum(mult[j] * prod(row[j] for row in rows) for j in set_bits(common))
         return Fraction(acc, denom)
 
     # -- products ---------------------------------------------------------
@@ -318,26 +329,19 @@ def divisor_element(F):
 def chevalley_multiply(F, i, c: CohomClass):
     """Divisor times a class by the classical Chevalley rule.
 
-    Independent of the localization route; transported to the point-indexed
-    basis through the dual involution.  i must name the excluded node (the
-    unique divisor slot of a maximal parabolic).
+    Reads the covers of the length-indexed avatar, transported to the
+    point-indexed basis through the dual involution.  i must name the
+    excluded node (the unique divisor slot of a maximal parabolic).
     """
     if i != F.parabolic.excluded:
         raise UsageError("divisor slot must be the excluded simple root")
     if c.variety is not F:
         raise UsageError("class is over a different variety")
-    R = F.root_system
-    outside = [k for k, a in enumerate(R.root_alpha) if a[i - 1]]
     out = {}
     for w_spec, coeff in c.coeffs.items():
-        wb = F.dual(w_spec)  # length-indexed avatar
-        for k in outside:
-            u = wb * root_reflection(R, k)
-            if u.length == wb.length + 1 and u in F.index:
-                mult = R.root_coroot[k][i - 1]  # <omega_i, beta_k^vee>
-                if mult:
-                    tgt = F.dual(u)
-                    out[tgt] = out.get(tgt, 0) + coeff * mult
+        for u, mult in F.covers(F.dual(w_spec)):
+            tgt = F.dual(u)
+            out[tgt] = out.get(tgt, 0) + coeff * mult
     return CohomClass(F, out)
 
 

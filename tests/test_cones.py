@@ -28,7 +28,7 @@ from eigencones.cones import (
     verify_subeigencone,
 )
 from eigencones.errors import ResourceCapError, UsageError
-from eigencones.rootsys import Weight, build_root_system
+from eigencones.rootsys import Weight, build_root_system, weight_coords
 
 GOLDEN = Path(__file__).parent / "golden"
 HALF_STEPS = [Fraction(k, 2) for k in range(5)]   # 0, 1/2, ..., 2
@@ -84,6 +84,20 @@ def test_membership_scaling_invariance(c, flat):
     lams = [tuple(flat[2 * i:2 * i + 2]) for i in range(3)]
     scaled = [tuple(c * x for x in lam) for lam in lams]
     assert membership(lams, S)[0] == membership(scaled, S)[0]
+
+
+def test_membership_verdicts_do_not_depend_on_the_number_type():
+    R = build_root_system("C", 2)
+    S = generate_inequalities(R, 3, "levi")
+    assert all(type(x) is int for x in weight_coords(R, (Fraction(2), 1)))
+    for flat in itertools.product(range(3), repeat=6):
+        lams = [flat[0:2], flat[2:4], flat[4:6]]
+        as_ints = membership(lams, S)
+        assert membership([tuple(map(Fraction, lam)) for lam in lams], S) == as_ints
+        assert membership([Weight(R, lam) for lam in lams], S) == as_ints
+        # the cone is closed under positive scaling
+        halves = [tuple(Fraction(x, 2) for x in lam) for lam in lams]
+        assert membership(halves, S) == as_ints
 
 
 def test_normals_are_primitive():
@@ -308,6 +322,27 @@ def test_include_then_project_identity():
             lam = Weight(sub, tuple(Fraction(x) for x in coords))
             back = project_weight_BC(include_weight_BC(lam, 4), 2)
             assert back.coords == lam.coords
+
+
+def test_integral_embedded_weights_have_int_coordinates():
+    R = build_root_system("C", 2)
+    coords = include_weight_BC(Weight(R, (1, 2)), 4).coords
+    assert coords == (1, 2, 0, 0)
+    assert all(type(x) is int for x in coords)
+    for kind in ("B", "C"):
+        amb, sub = build_root_system(kind, 4), build_root_system(kind, 2)
+        for coords in itertools.product(range(3), repeat=2):
+            up = include_weight_BC(Weight(sub, coords), 4)
+            back = project_weight_BC(up, 2)
+            assert back.coords == coords
+            assert all(type(x) is int for x in back.coords)
+            # B's spin node makes some inclusions half-integral
+            assert all(type(x) is int or x.denominator != 1 for x in up.coords)
+        for coords in itertools.product(range(3), repeat=4):
+            down = project_weight_BC(Weight(amb, coords), 2)
+            again = include_weight_BC(down, 4)
+            assert all(type(x) is int for x in down.coords)
+            assert all(type(x) is int or x.denominator != 1 for x in again.coords)
 
 
 def reference_project(lam, s):

@@ -417,3 +417,35 @@ def test_int_theta_scalars_match_the_weight_reference(p):
     FA = F("C", 4, p)
     for w in FA.basis:
         assert FA.theta((w,)) == reference_theta(FA, (w,)), word_str(w)
+
+
+LOCALIZATION_CASES = [
+    *((kind, rank, p) for kind, ranks in [("A", range(1, 5)), ("B", range(1, 5)),
+                                          ("C", range(1, 5)), ("D", range(3, 5))]
+      for rank in ranks for p in range(1, rank + 1)),
+    ("G2", 2, 1), ("G2", 2, 2), ("F4", 4, 1), ("F4", 4, 4),
+]
+
+
+@pytest.mark.parametrize("kind,rank,p", LOCALIZATION_CASES)
+def test_chevalley_recursion_equals_the_billey_reference(kind, rank, p):
+    # every restriction and its support bit, at basis positions
+    FA = F(kind, rank, p)
+    rest, support, mult, denom = FA._localization()
+    ref, euler = reference_localization(FA)
+    for j, v in enumerate(FA.basis):
+        assert Fraction(mult[j], denom) == 1 / euler[v]
+        for i, w in enumerate(FA.basis):
+            expected = ref[v].get(w, 0)
+            assert rest[i][j] == expected, (word_str(w), word_str(v))
+            assert (support[i] >> j & 1) == (expected != 0), (word_str(w), word_str(v))
+
+
+@pytest.mark.parametrize("kind,rank,p", [("C", 6, 3), ("A", 9, 3)])
+def test_large_varieties_localize(kind, rank, p):
+    FA = F(kind, rank, p)
+    _, support, _, _ = FA._localization()
+    FA._check_localization()
+    top = len(FA.basis) - 1
+    assert support[0] == (1 << top + 1) - 1  # every class lies above e
+    assert support[top] == 1 << top  # the longest class lies above itself only

@@ -40,13 +40,17 @@ def _function(module, name):
 
 
 @pytest.mark.parametrize("module,name", [
-    # restrictions, Euler factors and theta are ints at the generic point
+    # restrictions, Euler factors and theta are ints at the generic point, and
+    # the covers the recursion reads are int Weyl products
     pytest.param("schubert", "FlagVariety._localization", id="_localization"),
+    pytest.param("schubert", "FlagVariety.covers", id="covers"),
     pytest.param("schubert", "FlagVariety.theta", id="theta"),
     # the grid kernel scans int value tables as int bitsets
     *(pytest.param("cones", fn, id=f"cones.{fn}")
       for fn in ("_value_tables", "_tail", "_value_sets", "_walls", "_scan",
-                 "_bits", "_cell", "_cells", "_first_tight", "_grid_scan")),
+                 "_cell", "_cells", "_first_tight", "_grid_scan")),
+    # the set bits that the grid kernel and the integrals walk
+    pytest.param("linalg", "set_bits", id="linalg.set_bits"),
 ])
 def test_no_fraction_in_the_int_hot_paths(module, name):
     names = {n.id for n in ast.walk(_function(module, name))
@@ -86,6 +90,7 @@ EPSILON_NAMES = {"killing", "coroot_pairing", "fw_coords", "alpha_coords",
     ("cones", "include_weight_BC"),
     ("cones", "projection_step_invariance"),
     ("schubert", "FlagVariety.eval_xP"),
+    ("schubert", "FlagVariety.covers"),
     ("schubert", "chevalley_multiply"),
 ])
 def test_embeddings_read_only_int_root_rows(module, name):
