@@ -110,3 +110,128 @@ def test_only_weyl_reads_its_context(path):
         if isinstance(node, ast.alias):
             names |= {node.name, node.asname}
         assert "_ctx" not in names, f"{path.name}:{getattr(node, 'lineno', '?')}"
+
+
+# -- src/ keeps only what it runs ----------------------------------------------
+
+# defs that nothing in src/ runs and that stay, each with its reason
+KEPT_UNREACHED = {
+    # checks of the paper's criteria, which tests/test_acceptance.py drives
+    ("isogr", "bc_delta"): "criterion: B/C character difference",
+    ("isogr", "bc_point_products_agree"): "criterion: B/C point products",
+    ("isogr", "codim_jump_cross_check"): "criterion: codimension jump",
+    ("isogr", "expected_dim_zero_check"): "criterion: expected-dimension lemmas",
+    ("isogr", "properness_identity"): "criterion: properness identity",
+    ("schubert", "FlagVariety.multiply_classes"): "criterion 8: associativity",
+    ("schubert", "CohomClass.is_zero"): "criterion 8: vanishing products",
+    ("schubert", "CohomClass.graded_codim"): "criterion 8: grading",
+    ("schubert", "CohomClass.point_coefficient"): "criterion 8: point products",
+    # the classical Chevalley rule over FlagVariety.covers, which the
+    # localization recursion also reads; the tests check both against it
+    ("schubert", "chevalley_multiply"): "Chevalley rule over the covers",
+    # inequality-system I/O and grid helpers, until an exact cone calculus
+    # or a predicted work count gives them a caller or a replacement
+    ("cones", "system_from_json"): "waits on the work-count and cone items",
+    ("cones", "IneqSystem.dumps"): "waits on the work-count and cone items",
+    ("cones", "feasible_on_grid"): "waits on the exact cone calculus",
+    ("cones", "regions_agree_on_grid"): "waits on the exact cone calculus",
+    ("cones", "facet_witnesses"): "waits on the exact cone calculus",
+}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+class _Module:
+    """One source file: its defs, its roots and how its names resolve."""
+
+    def __init__(self, path):
+        self.name = path.stem
+        tree = ast.parse(path.read_text(), str(path))
+        self.defs = {}       # qualified name -> def node
+        self.roots = []      # code that runs on import
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef):
+                self.defs[stmt.name] = stmt
+            elif isinstance(stmt, ast.ClassDef):
+                self.roots += stmt.decorator_list + stmt.bases
+                for item in stmt.body:
+                    if isinstance(item, ast.FunctionDef):
+                        self.defs[f"{stmt.name}.{item.name}"] = item
+                    else:
+                        self.roots.append(item)
+            else:
+                self.roots.append(stmt)
+        # names bound by sibling imports, and names of outside modules
+        self.imported, self.outside = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for a in node.names:
+                    self.imported[a.asname or a.name] = (node.module, a.name)
+            elif isinstance(node, ast.Import):
+                self.outside |= {(a.asname or a.name).split(".")[0] for a in node.names}
+
+
+def _package():
+    return {m.name: m for m in map(_Module, SOURCES)}
+
+
+def _targets(modules, module, node):
+    """The defs that the code under node names.
+
+    A bare name is a function of its module or one imported from a sibling;
+    an attribute names every method of that name, unless it is read off an
+    outside module (json.dumps is not IneqSystem.dumps).
+    """
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            if n.id in module.defs:
+                out.add((module.name, n.id))
+            elif n.id in module.imported:
+                out.add(module.imported[n.id])
+        elif isinstance(n, ast.Attribute):
+            if isinstance(n.value, ast.Name) and n.value.id in module.outside:
+                continue
+            out |= {(m.name, q) for m in modules.values() for q in m.defs
+                    if q.rpartition(".")[2] == n.attr}
+    return out
+
+
+def _reached(modules, extra=()):
+    """Every def that import-time code, an export, a dunder or extra reaches."""
+    todo = set(extra)
+    for m in modules.values():
+        for node in m.roots:
+            todo |= _targets(modules, m, node)
+        todo |= {(m.name, q) for q in m.defs if _is_dunder(q.rpartition(".")[2])}
+    todo |= {(mod, name) for name, mod in eigencones._EXPORTS.items()}
+    seen = set()
+    while todo:
+        key = todo.pop()
+        module = modules.get(key[0])
+        if key in seen or module is None or key[1] not in module.defs:
+            continue
+        seen.add(key)
+        todo |= _targets(modules, module, module.defs[key[1]]) - seen
+    return seen
+
+
+def test_src_defines_only_what_it_runs():
+    # every def is run by the CLI or the exports, or is kept with a reason;
+    # a def that only tests call is a test helper or goes
+    modules = _package()
+    reached = _reached(modules, KEPT_UNREACHED)
+    unreached = sorted(f"{m.name}.{q}" for m in modules.values() for q in m.defs
+                       if (m.name, q) not in reached)
+    assert not unreached, f"defs that nothing in src/ runs: {unreached}"
+
+
+def test_kept_unreached_defs_exist_and_are_unreached():
+    # an entry whose def is gone, or which src/ now runs, leaves the list
+    modules = _package()
+    reached = _reached(modules)
+    for module, qualname in KEPT_UNREACHED:
+        assert qualname in modules[module].defs, f"{module}.{qualname} is gone"
+        assert (module, qualname) not in reached, f"{module}.{qualname} is run"
