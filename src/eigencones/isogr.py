@@ -249,36 +249,6 @@ def orbit_dims(k, r):
     return o1, o2, o2p, o3
 
 
-def schubert_orbit_dims(I: IndexSet, flag):
-    """Per-orbit dimensions of C_I against the standard or shifted flag.
-
-    I is an index set over 2r lifted from I_M over 2(r-1); the standard-flag
-    rows need an element > r+1, the shifted rows additionally one < r.  The
-    open-orbit row reports the formula value with non-emptiness unknown.
-    """
-    if flag not in ("standard", "shifted"):
-        raise UsageError("flag must be 'standard' or 'shifted'")
-    r = I.r
-    if any(i in (r, r + 1) for i in I.elems):
-        raise UsageError("lifted index sets cannot jump at positions r or r+1")
-    I_M = IndexSet(
-        tuple(i - 2 if i > r + 1 else i for i in I.elems), r - 1
-    )
-    if I.count_gt(r + 1) == 0:
-        raise UsageError("orbit formulas need an element of I larger than r+1")
-    if flag == "shifted" and not any(i < r for i in I.elems):
-        raise UsageError("the shifted flag needs an element of I smaller than r")
-    dim_M = dim_from_index(I_M)
-    jump = I_M.count_gt(r - 1)
-    out = {
-        "O1": dim_M if flag == "standard" else "empty",
-        "O2": dim_M + jump + 1 if flag == "standard" else dim_M + jump,
-        "O2'": "empty",
-        "O3": {"dim": dim_from_index(I), "nonempty_known": False},
-    }
-    return out
-
-
 def properness_identity(index_sets, k, r):
     """k - sum_j |I_j^M <= r-1| for a lifted Levi-movable unit point tuple.
 

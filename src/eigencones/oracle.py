@@ -124,17 +124,17 @@ class CharacterTable:
         return self.weights.get(tuple(int(x) for x in fw), 0)
 
 
-def weight_multiplicities(R: RootSystem, lam, dim_cap=DIM_CAP) -> CharacterTable:
+def weight_multiplicities(R: RootSystem, lam) -> CharacterTable:
     coords = _fw_coords(R, lam)
-    key = (R.kind, R.rank, coords, dim_cap)
+    key = (R.kind, R.rank, coords)
     hit = _table_memo.get(key)
     if hit is not None:
         return hit
 
     total = weyl_dim(R, coords)
-    if total > dim_cap:
+    if total > DIM_CAP:
         raise ResourceCapError(
-            f"dim {total} exceeds character table cap {dim_cap}", cap=dim_cap
+            f"dim {total} exceeds character table cap {DIM_CAP}", cap=DIM_CAP
         )
 
     C = R.cartan_matrix
@@ -187,14 +187,14 @@ def weight_multiplicities(R: RootSystem, lam, dim_cap=DIM_CAP) -> CharacterTable
     return table
 
 
-def tensor_decompose(R: RootSystem, lam, mu, dim_cap=DIM_CAP):
+def tensor_decompose(R: RootSystem, lam, mu):
     """V_lam (x) V_mu as {fw coords: multiplicity}, by Klimyk alternation."""
     lc, mc = _fw_coords(R, lam), _fw_coords(R, mu)
-    if weyl_dim(R, lc) * weyl_dim(R, mc) > dim_cap:
-        raise ResourceCapError("tensor product dimension exceeds cap", cap=dim_cap)
+    if weyl_dim(R, lc) * weyl_dim(R, mc) > DIM_CAP:
+        raise ResourceCapError("tensor product dimension exceeds cap", cap=DIM_CAP)
     if weyl_dim(R, lc) < weyl_dim(R, mc):
         lc, mc = mc, lc
-    table = weight_multiplicities(R, mc, dim_cap)
+    table = weight_multiplicities(R, mc)
     C = R.cartan_matrix
     lam_rho = tuple(x + 1 for x in lc)
     out = {}
@@ -217,9 +217,9 @@ def dual_weight_coords(R: RootSystem, lam):
     return tuple(-x for x in longest_element(R).apply_fw(coords))
 
 
-def _outer_multiplicity(R, lam, mu, nu, dim_cap):
+def _outer_multiplicity(R, lam, mu, nu):
     """Multiplicity of V_nu inside V_lam (x) V_mu, one alternating sum."""
-    weights = weight_multiplicities(R, mu, dim_cap).weights
+    weights = weight_multiplicities(R, mu).weights
     lam_rho = tuple(x + 1 for x in lam)
     nu_rho = tuple(x + 1 for x in nu)
     acc = 0
@@ -232,7 +232,7 @@ def _outer_multiplicity(R, lam, mu, nu, dim_cap):
     return acc
 
 
-def invariant_dim(R: RootSystem, lams, dim_cap=DIM_CAP):
+def invariant_dim(R: RootSystem, lams):
     """Dimension of the invariant subspace of V_lam1 (x) ... (x) V_lamn.
 
     The last factor is folded through duality, so the n = 3 case needs only
@@ -250,16 +250,16 @@ def invariant_dim(R: RootSystem, lams, dim_cap=DIM_CAP):
     for lam in coords[1:-2]:
         merged = {}
         for k, m in partial.items():
-            for k2, m2 in tensor_decompose(R, k, lam, dim_cap).items():
+            for k2, m2 in tensor_decompose(R, k, lam).items():
                 merged[k2] = merged.get(k2, 0) + m * m2
         partial = merged
     total = 0
     for k, m in partial.items():
-        total += m * _outer_multiplicity(R, k, coords[-2], target, dim_cap)
+        total += m * _outer_multiplicity(R, k, coords[-2], target)
     return total
 
 
-def saturated_search(R: RootSystem, lams, n_max=6, dim_cap=DIM_CAP):
+def saturated_search(R: RootSystem, lams, n_max=6):
     """Smallest N <= n_max with an invariant in V_{N lam1} (x) ..., else None.
 
     n_max is a heuristic search bound, not a saturation statement; a miss
@@ -268,6 +268,6 @@ def saturated_search(R: RootSystem, lams, n_max=6, dim_cap=DIM_CAP):
     coords = [_fw_coords(R, lam) for lam in lams]
     for N in range(1, n_max + 1):
         scaled = [tuple(N * x for x in c) for c in coords]
-        if invariant_dim(R, scaled, dim_cap) > 0:
+        if invariant_dim(R, scaled) > 0:
             return N
     return None

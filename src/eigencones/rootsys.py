@@ -15,12 +15,11 @@ SO(2r+1), SO(2r-3) in SO(2r) by folding, the long-root SL2 in G2, and G2 in
 F4 by folding a D4 subsystem.  A sub simple root is the *orbit* of pairwise
 orthogonal ambient positive roots it restricts from, each named by its
 simple-root row; the Weyl generator image is the product of the orbit's
-reflections (module weyl).  Epsilon orbits and images are a view.
+reflections (module weyl).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -317,7 +316,6 @@ class SubsystemEmbedding:
     direction is their average.  The images' Gram matrix is gram_scale
     times the sub's: 1 (isometric) except where a sub long root lands on an
     ambient short one, 1/2 for b-in-b with s = 1 and d-chain with r = 3.
-    orbits, simple_images and stages are epsilon views for reports.
     """
 
     case: str
@@ -333,25 +331,6 @@ class SubsystemEmbedding:
             if a == q:
                 return b
         raise UsageError(f"no ambient parabolic matched to sub node {q}")
-
-    def image_alpha_coords(self, i):
-        """The i-th image direction over the ambient simple roots."""
-        return _average(self.ambient.root_alpha, self.members[i])
-
-    @property
-    def orbits(self):
-        return tuple(self._epsilon(orbit) for orbit in self.members)
-
-    @property
-    def simple_images(self):
-        return tuple(_average(self.ambient.positive_roots, o) for o in self.members)
-
-    @property
-    def stages(self):
-        return tuple((label, self._epsilon(ks)) for label, ks in self.stage_members)
-
-    def _epsilon(self, positions):
-        return tuple(self.ambient.positive_roots[k] for k in positions)
 
 
 def _average(rows, positions):
@@ -547,29 +526,3 @@ def root_system_to_json(R):
         "rho": _vec_json(R.rho),
         "dual_basis": [_vec_json(v) for v in R.dual_basis],
     }
-
-
-def embedding_to_json(E):
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "case": E.case,
-        "ambient": {"kind": E.ambient.kind, "rank": E.ambient.rank},
-        "sub": {"kind": E.sub.kind, "rank": E.sub.rank},
-        "orbits": [[_vec_json(b) for b in orbit] for orbit in E.orbits],
-        "simple_images": [_vec_json(v) for v in E.simple_images],
-        "simple_images_alpha": [
-            _vec_json(E.image_alpha_coords(i)) for i in range(E.sub.rank)
-        ],
-        "parabolic_map": [list(p) for p in E.parabolic_map],
-        "gram_scale": _frac_str(E.gram_scale),
-    }
-    if E.stages:
-        doc["stages"] = [
-            {"label": label, "roots": [_vec_json(b) for b in roots]}
-            for label, roots in E.stages
-        ]
-    return doc
-
-
-def dumps(obj):
-    return json.dumps(obj, indent=2, sort_keys=True)

@@ -40,7 +40,7 @@ _GENERIC_BASE = 11  # strictly larger than any simple-root coefficient of a root
 class FlagVariety:
     """G/P for a maximal parabolic, with cached exact product data."""
 
-    def __init__(self, R: RootSystem, excluded: int, graded_cap=GRADED_PIECE_CAP):
+    def __init__(self, R: RootSystem, excluded: int):
         self.root_system = R
         self.parabolic = ParabolicSpec(R, excluded)
         self.basis = minimal_coset_reps(R, self.parabolic)
@@ -50,10 +50,10 @@ class FlagVariety:
         by_codim = {}
         for w in self.basis:
             by_codim.setdefault(self.codim(w), []).append(w)
-        if max(len(v) for v in by_codim.values()) > graded_cap:
+        if max(len(v) for v in by_codim.values()) > GRADED_PIECE_CAP:
             raise ResourceCapError(
-                f"graded piece of {self.label} exceeds {graded_cap} classes",
-                cap=graded_cap,
+                f"graded piece of {self.label} exceeds {GRADED_PIECE_CAP} classes",
+                cap=GRADED_PIECE_CAP,
             )
         self.by_codim = by_codim
         # positive roots beta outside the Levi: int fw coordinates,
@@ -84,9 +84,6 @@ class FlagVariety:
 
     def dual(self, w):
         return self._dual[w]
-
-    def unit_element(self):
-        return self.basis[-1]  # longest rep: codim 0
 
     def point_element(self):
         return self.basis[0]  # identity: codim = dim
@@ -290,15 +287,6 @@ class CohomClass:
     def point_coefficient(self):
         return self.coeffs.get(self.variety.point_element(), 0)
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0) + c
-        return CohomClass(self.variety, out)
-
-    def __rmul__(self, c):
-        return CohomClass(self.variety, {w: c * x for w, x in self.coeffs.items()})
-
 
 # -- module-level op surface -------------------------------------------------
 
@@ -318,12 +306,6 @@ def structure_constants(F):
                 word_str(w): c for w, c in prod.coeffs.items()
             }
     return table
-
-
-def divisor_element(F):
-    """The unique codim-1 basis class."""
-    (w,) = F.by_codim[1]
-    return w
 
 
 def chevalley_multiply(F, i, c: CohomClass):

@@ -213,7 +213,7 @@ def word_str(w):
 
 
 @lru_cache(maxsize=None)
-def generate_weyl_group(R, cap=WEYL_SIZE_CAP):
+def generate_weyl_group(R):
     """The full Weyl group by breadth-first closure under the generators."""
     ctx = _ctx(R)
     seen = {ctx.id_matrix: 0}
@@ -226,9 +226,10 @@ def generate_weyl_group(R, cap=WEYL_SIZE_CAP):
                 if p not in seen:
                     seen[p] = seen[m] + 1
                     new.append(p)
-        if len(seen) > cap:
+        if len(seen) > WEYL_SIZE_CAP:
             raise ResourceCapError(
-                f"Weyl group of {R.label} exceeds the size cap {cap}", cap=cap
+                f"Weyl group of {R.label} exceeds the size cap {WEYL_SIZE_CAP}",
+                cap=WEYL_SIZE_CAP,
             )
         frontier = new
     return frozenset(WeylElement(R, m, l) for m, l in seen.items())
@@ -324,14 +325,6 @@ def dual_rep(w, P):
     return minimal_rep(longest_element(w.root_system) * w, P)
 
 
-def poincare_counts(elements):
-    """Length generating function as a coefficient list."""
-    counts = {}
-    for w in elements:
-        counts[w.length] = counts.get(w.length, 0) + 1
-    return [counts.get(l, 0) for l in range(max(counts) + 1)]
-
-
 # -- embeddings -------------------------------------------------------------
 
 
@@ -360,20 +353,6 @@ def embed_element(E, w, minimize_into=None):
     if minimize_into is not None:
         img = minimal_rep(img, minimize_into)
     return img
-
-
-def check_embedding_homomorphism(E, elements=None):
-    """embed is multiplicative on the sub Weyl group (spot or full check)."""
-    if elements is None:
-        elements = generate_weyl_group(E.sub)
-    elements = list(elements)
-    for a in elements:
-        for b in elements:
-            if embed_element(E, a) * embed_element(E, b) != embed_element(E, a * b):
-                raise VerificationError(
-                    f"{E.case}: embedding is not a homomorphism at {word_str(a)},{word_str(b)}"
-                )
-    return True
 
 
 def verify_dual_commutes(E, q):

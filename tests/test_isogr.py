@@ -24,7 +24,6 @@ from eigencones.isogr import (
     orbit_dims,
     orbit_table_rows,
     properness_identity,
-    schubert_orbit_dims,
     weyl_index_bijection,
 )
 from eigencones.rootsys import build_root_system
@@ -102,7 +101,7 @@ def test_bijection_coherence(r):
         assert len(to_index) == len(F.basis)
         e = identity(F.root_system)
         assert to_index[e].elems == tuple(range(1, k + 1))
-        assert to_index[F.unit_element()].elems == tuple(
+        assert to_index[F.basis[-1]].elems == tuple(
             range(2 * r - k + 1, 2 * r + 1)
         )
         for w, I in to_index.items():
@@ -160,7 +159,7 @@ def test_bc_delta_examples():
 def test_expected_dim_trivial_tuple():
     FM = FC(2, 2)
     e = identity(FM.root_system)
-    top = FM.unit_element()
+    top = FM.basis[-1]
     rep = expected_dim_zero_check((e, top, top), 3, 2, 2)
     assert rep["theta"] == rep["theta_M"] == rep["theta_H"] == 0
     assert rep["expdim_G"] == rep["expdim_M"] == 0
@@ -182,7 +181,7 @@ def test_expected_dim_lemmas_exhaustive(r, s, k):
 
 def test_expected_dim_rejects_foreign_words():
     FM = FC(2, 1)
-    w0 = FM.unit_element() * FM.basis[1]  # generally not a minimal rep
+    w0 = FM.basis[-1] * FM.basis[1]  # generally not a minimal rep
     from eigencones.weyl import is_minimal_rep
 
     if not is_minimal_rep(w0, FM.parabolic):
@@ -208,31 +207,6 @@ def test_orbit_dims_formulas():
             assert o2p == ig_dim(k - 1, r - 1) + 1
             assert o3 == ig_dim(k, r)
             assert o2p < o2 <= o3
-
-
-def test_schubert_orbit_dims_rows():
-    I = IndexSet((2, 6), 3)  # lift of {2,4} over 2r = 6
-    std = schubert_orbit_dims(I, "standard")
-    assert std["O2'"] == "empty"
-    assert std["O3"] == {"dim": dim_from_index(I), "nonempty_known": False}
-    assert std["O1"] == dim_from_index(IndexSet((2, 4), 2))
-    shifted = schubert_orbit_dims(I, "shifted")
-    assert shifted["O1"] == "empty"
-    assert shifted["O2"] == std["O2"] - 1
-
-
-def test_schubert_orbit_dims_preconditions():
-    with pytest.raises(UsageError):
-        schubert_orbit_dims(IndexSet((2, 6), 3), "sideways")
-    with pytest.raises(UsageError):
-        # no element > r+1
-        schubert_orbit_dims(IndexSet((1, 2), 3), "standard")
-    with pytest.raises(UsageError):
-        # shifted flag needs an element < r
-        schubert_orbit_dims(IndexSet((5, 6), 3), "shifted")
-    with pytest.raises(UsageError):
-        # element at position r is not a lift
-        schubert_orbit_dims(IndexSet((3, 6), 3), "standard")
 
 
 def test_properness_identity_trivial():

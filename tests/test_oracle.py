@@ -79,7 +79,7 @@ def test_multiplicities_require_dominant_integral():
 
 def test_dim_cap():
     with pytest.raises(ResourceCapError):
-        weight_multiplicities(C2, (40, 40), dim_cap=1000)
+        weight_multiplicities(C2, (40, 40))
 
 
 def test_clebsch_gordan():

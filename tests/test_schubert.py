@@ -13,7 +13,6 @@ from eigencones.schubert import (
     CohomClass,
     FlagVariety,
     chevalley_multiply,
-    divisor_element,
     flag_variety,
     point_product_tuples,
     structure_constants,
@@ -47,17 +46,17 @@ def test_unit_and_point_conventions():
     FA = F("C", 2, 1)
     e = identity(FA.root_system)
     assert FA.point_element() == e
-    assert FA.codim(FA.unit_element()) == 0
+    assert FA.codim(FA.basis[-1]) == 0
     # unit really is the ring unit
     for w in FA.basis:
-        prod = FA.cup_product(FA.unit_element(), w)
+        prod = FA.cup_product(FA.basis[-1], w)
         assert prod.coeffs == {w: 1}
 
 
 def test_projective_space_divisor_powers():
     # IG(1,4) = P^3: divisor powers march down the cell list one at a time
     FA = F("C", 2, 1)
-    c = CohomClass(FA, {FA.unit_element(): 1})
+    c = CohomClass(FA, {FA.basis[-1]: 1})
     seen = []
     for step in range(FA.dim):
         c = chevalley_multiply(FA, 1, c)
@@ -79,7 +78,7 @@ CHEVALLEY_CASES = [
 def test_chevalley_rule_matches_the_divisor_cup_product(kind, rank, p):
     # the classical rule against localization, on every class
     FA = F(kind, rank, p)
-    d = divisor_element(FA)
+    (d,) = FA.by_codim[1]
     for w in FA.basis:
         got = chevalley_multiply(FA, p, CohomClass(FA, {w: 1}))
         assert got.coeffs == FA.cup_product(d, w).coeffs, word_str(w)
@@ -87,7 +86,7 @@ def test_chevalley_rule_matches_the_divisor_cup_product(kind, rank, p):
 
 def test_gr24_pieri_square():
     FA = flag_variety(build_root_system("A", 3), 2)  # Gr(2,4)
-    d = divisor_element(FA)
+    (d,) = FA.by_codim[1]
     sq = FA.cup_product(d, d)
     assert sorted(sq.coeffs.values()) == [1, 1]
     assert sq.graded_codim() == 2
@@ -163,7 +162,7 @@ def test_chi_identity_and_top():
         levi = [b for b in R.positive_roots if alpha_coords(R, b)[p - 1] == 0]
         expected = tuple(2 * r - sum(c) for r, *c in zip(R.rho, *levi))
         assert chi_e.ambient == expected
-        top = FA.unit_element()
+        top = FA.basis[-1]
         assert all(c == 0 for c in FA.chi_weight(top).coords)
 
 
@@ -194,7 +193,7 @@ def test_chi_cross_check_root_sum():
 def test_theta_trivial_tuples():
     FA = F("C", 3, 2)
     e = identity(FA.root_system)
-    top = FA.unit_element()
+    top = FA.basis[-1]
     assert FA.theta((e, top, top)) == 0
     movable, m = FA.is_levi_movable((e, top, top))
     assert movable and m == 1
@@ -288,7 +287,7 @@ def test_non_integral_theta_is_a_verification_error(monkeypatch):
     FA = FlagVariety(build_root_system("C", 2), 1)
     monkeypatch.setattr(FlagVariety, "eval_xP", lambda self, weight: Fraction(1, 2))
     with pytest.raises(VerificationError, match="theta"):
-        FA.theta((FA.unit_element(),))
+        FA.theta((FA.basis[-1],))
 
 
 def _grassmannian_partition(FA, w):

@@ -78,7 +78,6 @@ EPSILON_NAMES = {"killing", "coroot_pairing", "fw_coords", "alpha_coords",
 
 
 @pytest.mark.parametrize("module,name", [
-    ("rootsys", "SubsystemEmbedding.image_alpha_coords"),
     ("rootsys", "_make_embedding"),
     ("rootsys", "build_embedding"),
     ("rootsys", "_build_embedding"),
@@ -114,7 +113,7 @@ def test_only_weyl_reads_its_context(path):
 
 # -- src/ keeps only what it runs ----------------------------------------------
 
-# defs that nothing in src/ runs and that stay, each with its reason
+# defs that nothing in src/ calls by name and that stay, each with its reason
 KEPT_UNREACHED = {
     # checks of the paper's criteria, which tests/test_acceptance.py drives
     ("isogr", "bc_delta"): "criterion: B/C character difference",

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigencones import weyl
 from eigencones.errors import ResourceCapError, UsageError, VerificationError
 from eigencones.rootsys import build_embedding, build_root_system
 from eigencones.weyl import (
     ParabolicSpec,
     _canonical_word,
-    check_embedding_homomorphism,
     coset_table,
     dual_rep,
     embed_element,
@@ -21,7 +21,6 @@ from eigencones.weyl import (
     longest_element,
     minimal_coset_reps,
     minimal_rep,
-    poincare_counts,
     simple_reflection,
     verify_dual_commutes,
     word_str,
@@ -29,6 +28,28 @@ from eigencones.weyl import (
 )
 
 from test_rootsys import alpha_coords, is_positive_root
+
+
+def poincare_counts(elements):
+    """Length generating function as a coefficient list."""
+    counts = {}
+    for w in elements:
+        counts[w.length] = counts.get(w.length, 0) + 1
+    return [counts.get(l, 0) for l in range(max(counts) + 1)]
+
+
+def check_embedding_homomorphism(E, elements=None):
+    """embed is multiplicative on the sub Weyl group (spot or full check)."""
+    if elements is None:
+        elements = generate_weyl_group(E.sub)
+    elements = list(elements)
+    for a in elements:
+        for b in elements:
+            if embed_element(E, a) * embed_element(E, b) != embed_element(E, a * b):
+                raise VerificationError(
+                    f"{E.case}: embedding is not a homomorphism at {word_str(a)},{word_str(b)}"
+                )
+    return True
 
 GROUP_ORDERS = {
     ("A", 1): 2,
@@ -48,10 +69,12 @@ def test_group_order(kind, rank):
     assert len(generate_weyl_group(R)) == GROUP_ORDERS[(kind, rank)]
 
 
-def test_group_cap():
+def test_group_cap(monkeypatch):
+    # the uncached closure, so an F4 group cached by another test is no answer
+    monkeypatch.setattr(weyl, "WEYL_SIZE_CAP", 100)
     R = build_root_system("F4", 4)
-    with pytest.raises(ResourceCapError):
-        generate_weyl_group(R, cap=100)
+    with pytest.raises(ResourceCapError, match="exceeds the size cap 100"):
+        generate_weyl_group.__wrapped__(R)
 
 
 def test_a1_group():
