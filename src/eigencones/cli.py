@@ -80,17 +80,14 @@ def _config(args, **extra):
     return cfg
 
 
-def _emit(payload, fmt, csv_rows=None, table_lines=None):
+def _emit(payload, fmt, csv_rows, table_lines):
+    """Print the report; the parser offers only the formats a command has."""
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True, default=str))
     elif fmt == "csv":
-        if csv_rows is None:
-            raise UsageError("this command has no CSV form")
         for row in csv_rows:
             print(",".join(str(x) for x in row))
     else:
-        if table_lines is None:
-            raise UsageError("this command has no table form")
         for line in table_lines:
             print(line)
 
@@ -368,8 +365,18 @@ def cmd_tables(args):
 # -- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a command line with one ``usage error:`` line and exit 2.
+
+    Subparsers are made by the parser's own class, so they inherit it.
+    """
+
+    def error(self, message):
+        self.exit(2, f"usage error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eigencones",
         description="Exact Schubert calculus and eigencone computations.",
     )
@@ -417,7 +424,7 @@ def build_parser():
     p.add_argument("--s", type=int)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--group")
-    p.add_argument("--format", choices=FORMATS, default="json")
+    p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("tables", help="printed-table reproductions and exports")

@@ -351,6 +351,61 @@ def test_verify_thm_main_rejects_unread_parameters(argv, unread, monkeypatch, ca
     assert err.strip() == f"usage error: {argv[1]} does not read the parameter {unread}"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("cosets", "--group", "A3"), "the following arguments are required: --parabolic"),
+    ((), "the following arguments are required: command"),
+    (("tables", "sideways"), "argument which: invalid choice: 'sideways' "
+                             "(choose from 'g2f4', 'index', 'orbits')"),
+])
+def test_rejected_command_line_prints_one_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err == f"usage error: {message}\n"
+
+
+def test_help_is_unchanged(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cosets", "--help"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert out.startswith("usage: eigencones cosets [-h]")
+
+
+def test_verify_rejects_csv_before_any_work(monkeypatch, capsys):
+    # verify has no CSV form, so the parser refuses it before the check runs
+    calls = []
+    monkeypatch.setattr("eigencones.cones.verify_projection",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm-proj", "--r", "4", "--s", "3", "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, calls) == (2, "", [])
+    assert err.startswith("usage error: argument --format: invalid choice: 'csv'")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("inequalities", "--group", "C3", "--n", "3"),
+    ("verify", "thm-main", "--case", "g2-in-f4"),
+    ("tables", "index", "--group", "C4", "--parabolic", "2"),
+], ids=lambda argv: argv[0])
+def test_reports_do_not_depend_on_the_hash_seed(argv):
+    # sets and dicts of hashed keys iterate by seed; reports must not
+    def report(seed):
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigencones.cli", *argv],
+            capture_output=True, timeout=120,
+            env=dict(os.environ, PYTHONHASHSEED=seed,
+                     PYTHONPATH=str(Path(eigencones.__file__).parents[1])),
+        )
+        assert (proc.returncode, proc.stderr) == (0, b""), argv
+        return proc.stdout
+
+    assert report("0") == report("4242")
+
+
 def test_tables_orbits(capsys):
     code, out, _ = run(capsys, "tables", "orbits", "--r", "3")
     assert code == 0
@@ -470,7 +525,7 @@ def test_no_command_line_escapes_main(argv):
         try:
             code = main(argv)
         except SystemExit as e:  # argparse rejected the command line
-            assert e.code == 2, argv
-            return
+            code = e.code
+            assert code == 2, argv
     assert code in (0, 1, 2, 3), argv
     assert len(err.getvalue().splitlines()) <= 1, argv

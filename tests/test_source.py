@@ -115,6 +115,8 @@ def test_only_weyl_reads_its_context(path):
 
 # defs that nothing in src/ calls by name and that stay, each with its reason
 KEPT_UNREACHED = {
+    # argparse calls it on every rejected command line
+    ("cli", "_Parser.error"): "argparse's rejection hook",
     # checks of the paper's criteria, which tests/test_acceptance.py drives
     ("isogr", "bc_delta"): "criterion: B/C character difference",
     ("isogr", "bc_point_products_agree"): "criterion: B/C point products",
