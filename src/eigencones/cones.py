@@ -68,10 +68,6 @@ class Inequality:
         if gcd(*flat) != 1:
             raise UsageError("normals are not jointly primitive")
 
-    @property
-    def n(self):
-        return len(self.normals)
-
     def evaluate(self, coord_tuples):
         total = 0
         for slot, lam in zip(self.normals, coord_tuples, strict=True):
