@@ -627,4 +627,4 @@ def test_json_serialization_roundtrips_values():
     doc = root_system_to_json(R)
     assert (doc["kind"], doc["rank"]) == ("C", 3)
     assert len(doc["positive_roots"]) == 9
-    assert isinstance(json.dumps(doc), str)
+    assert json.loads(json.dumps(doc)) == doc

@@ -1,7 +1,8 @@
 """Source-level rules for the package: no bare asserts, no numpy, no
 Fraction on the localization, theta and grid-scan hot paths, no epsilon
 arithmetic in the embedding layer or the B/C projection, no epsilon data in
-weyl, and Weyl's private context kept inside weyl."""
+weyl, Weyl's private context kept inside weyl, and no def that nothing the
+package runs reaches."""
 
 import ast
 from pathlib import Path

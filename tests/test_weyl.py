@@ -51,6 +51,7 @@ def check_embedding_homomorphism(E, elements=None):
                 )
     return True
 
+
 GROUP_ORDERS = {
     ("A", 1): 2,
     ("A", 2): 6,
