@@ -164,7 +164,7 @@ def cmd_inequalities(args):
     from .cones import generate_inequalities
 
     R = _parse_group(args.group, args.rank)
-    S = generate_inequalities(R, args.n, args.tier, tuple_cap=args.tuple_cap)
+    S = generate_inequalities(R, args.n, args.tier)
     doc = S.to_json()
     csv_rows = [("parabolic", "words", "normals", "scale", "multiplicity")] + [
         (
@@ -218,7 +218,7 @@ def cmd_membership(args):
 
     R = _parse_group(args.group, args.rank)
     lams = _parse_weights(R, args.n, args.weights)
-    S = generate_inequalities(R, args.n, args.tier, tuple_cap=args.tuple_cap)
+    S = generate_inequalities(R, args.n, args.tier)
     member, violated = membership(lams, S)
     verdict = "in-cone" if member else "not-in-cone"
     payload = _report(
@@ -246,14 +246,12 @@ def cmd_verify(args):
         if args.s is not None:
             params["s"] = args.s
         report = verify_subeigencone(args.case, params, args.n)
-    elif args.target == "thm-proj":
+    else:  # thm-proj, the parser's other choice
         if args.r is None or args.s is None:
             raise UsageError("verify thm-proj needs --r and --s")
         report = verify_projection(
             args.r, args.s, args.n, kind=args.group or "C"
         )
-    else:
-        raise UsageError(f"unknown verify target {args.target!r}")
     payload = _report(args, report=report)
     lines = [f"{args.target}: {'ok' if report['ok'] else 'FAILED'}"]
     if args.target == "thm-main" and report.get("mode") == "ambient-products":
@@ -392,7 +390,6 @@ def build_parser():
             p.add_argument("--n", type=int, default=3)
             p.add_argument("--tier", choices=("nonzero", "point", "levi"),
                            default="levi")
-            p.add_argument("--tuple-cap", type=int, default=None)
 
     p = sub.add_parser("roots", help="root system data")
     common(p)

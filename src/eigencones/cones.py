@@ -30,7 +30,7 @@ from .rootsys import (
     restrict_weight_via_embedding,
     weight_coords,
 )
-from .schubert import flag_variety, point_product_tuples
+from .schubert import check_tuple_work, flag_variety, point_product_tuples
 from .weyl import (
     ParabolicSpec,
     embed_element,
@@ -159,7 +159,7 @@ def _primitive(slots):
     return cleared, scale
 
 
-def generate_inequalities(R: RootSystem, n, tier, tuple_cap=None):
+def generate_inequalities(R: RootSystem, n, tier):
     """The tier's inequality system over all maximal parabolics of R.
 
     tier "nonzero" takes every product m [pt] with m >= 1; "point"
@@ -171,11 +171,11 @@ def generate_inequalities(R: RootSystem, n, tier, tuple_cap=None):
     if n < 1:
         raise UsageError("n must be >= 1")
     filter = "levi" if tier == "levi" else "point"
+    varieties = [flag_variety(R, p) for p in range(1, R.rank + 1)]
+    check_tuple_work(varieties, n)
     seen = {}
-    for p in range(1, R.rank + 1):
-        F = flag_variety(R, p)
-        kwargs = {} if tuple_cap is None else {"tuple_cap": tuple_cap}
-        for pt in point_product_tuples(F, n, filter=filter, **kwargs):
+    for p, F in enumerate(varieties, 1):
+        for pt in point_product_tuples(F, n, filter=filter):
             if tier in ("point", "levi") and pt.multiplicity != 1:
                 continue
             normals, scale = _primitive(_raw_normals(F, pt.elements))
@@ -307,17 +307,16 @@ def verify_subeigencone(case, params, n):
         return report
 
     report["mode"] = "ambient-products"
-    for q, p in E.parabolic_map:
-        FM = flag_variety(E.sub, q)
-        FG = flag_variety(E.ambient, p)
-        P = ParabolicSpec(E.ambient, p)
+    pairs = [(flag_variety(E.sub, q), flag_variety(E.ambient, p)) for q, p in E.parabolic_map]
+    check_tuple_work([FM for FM, _ in pairs], n)
+    for (q, p), (FM, FG) in zip(E.parabolic_map, pairs):
         rows = []
         pair_ok = True
         for pt in point_product_tuples(FM, n, filter="levi"):
             if pt.multiplicity != 1:
                 continue
             ambient = tuple(
-                embed_element(E, w, minimize_into=P) for w in pt.elements
+                embed_element(E, w, minimize_into=FG.parabolic) for w in pt.elements
             )
             codim_sum = sum(FG.codim(w) for w in ambient)
             if codim_sum != FG.dim:

@@ -14,9 +14,8 @@ invariant form are the root system's int rows; the form is the fw Gram
 matrix cleared to ints, a positive multiple of the Killing form, which
 scales both sides of Freudenthal's formula alike.  A character table is
 keyed by dominant fw coordinates.  Fraction is left to the boundary:
-parsing input, the lambda - w0 lambda box (its fw coordinates times the
-inverse Cartan matrix, once per table) and CharacterTable.multiplicity,
-which takes an epsilon vector and is the one epsilon view here.
+parsing input and the lambda - w0 lambda box (its fw coordinates times the
+inverse Cartan matrix, once per table).
 """
 
 from __future__ import annotations
@@ -110,18 +109,6 @@ class CharacterTable:
     multiplicities: dict            # dominant fw coordinates -> positive int
     dim: int
     weights: dict                   # every weight's fw coordinates -> its multiplicity
-
-    def multiplicity(self, v_eps):
-        """Multiplicity of an epsilon vector; 0 off the weight lattice."""
-        R = self.root_system
-        if len(v_eps) != R.ambient_dim:
-            raise UsageError(f"expected {R.ambient_dim} epsilon coordinates, "
-                             f"got {len(v_eps)}")
-        v = tuple(Fraction(x) for x in v_eps)
-        fw = R.fw_coords(v)
-        if any(x.denominator != 1 for x in fw) or R.from_fw(fw) != v:
-            return 0
-        return self.weights.get(tuple(int(x) for x in fw), 0)
 
 
 def weight_multiplicities(R: RootSystem, lam) -> CharacterTable:

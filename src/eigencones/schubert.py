@@ -33,7 +33,8 @@ from .rootsys import RootSystem, Weight
 from .weyl import ParabolicSpec, dual_rep, minimal_coset_reps, root_reflection, word_str
 
 GRADED_PIECE_CAP = 30
-TUPLE_CAP = 1_000_000
+WORK_CAP = 3_000_000  # slot evaluations (graded tuples x n) of one tuple stream
+_COUNT_CEILING = 10**18  # graded_tuple_count saturates here
 _GENERIC_BASE = 11  # strictly larger than any simple-root coefficient of a root
 
 
@@ -46,16 +47,13 @@ class FlagVariety:
         self.basis = minimal_coset_reps(R, self.parabolic)
         self.index = {w: i for i, w in enumerate(self.basis)}
         self.dim = max(w.length for w in self.basis)
-        self._dual = {w: dual_rep(w, self.parabolic) for w in self.basis}
-        by_codim = {}
+        self.by_codim = by_codim = {}
         for w in self.basis:
             by_codim.setdefault(self.codim(w), []).append(w)
-        if max(len(v) for v in by_codim.values()) > GRADED_PIECE_CAP:
-            raise ResourceCapError(
-                f"graded piece of {self.label} exceeds {GRADED_PIECE_CAP} classes",
-                cap=GRADED_PIECE_CAP,
-            )
-        self.by_codim = by_codim
+        if max(len(v) for v in by_codim.values()) > GRADED_PIECE_CAP:  # before the duals
+            raise ResourceCapError(f"graded piece of {self.label} exceeds "
+                                   f"{GRADED_PIECE_CAP} classes", cap=GRADED_PIECE_CAP)
+        self._dual = {w: dual_rep(w, self.parabolic) for w in self.basis}
         # positive roots beta outside the Levi: int fw coordinates,
         # <omega_P, beta^vee> and the reflection r_beta
         outside = [k for k, a in enumerate(R.root_alpha) if a[excluded - 1]]
@@ -338,7 +336,7 @@ class PointTuple:
         return tuple(word_str(w) for w in self.elements)
 
 
-def point_product_tuples(F, n, filter="point", tuple_cap=TUPLE_CAP):
+def point_product_tuples(F, n, filter="point"):
     """Ordered tuples (w1..wn) in (W^P)^n with codim sum = dim, filtered.
 
     filter: "all" emits every grading-compatible tuple; "point" keeps
@@ -349,41 +347,60 @@ def point_product_tuples(F, n, filter="point", tuple_cap=TUPLE_CAP):
         raise UsageError("n must be >= 1")
     if filter not in ("all", "point", "levi"):
         raise UsageError(f"unknown filter {filter!r}")
-    count = 0
+    check_tuple_work([F], n)
     for ws in _graded_tuples(F, n):
-        count += 1
-        if count > tuple_cap:
-            raise ResourceCapError(
-                f"tuple enumeration over {F.label} exceeds cap {tuple_cap}",
-                cap=tuple_cap,
-            )
-        m = F.point_multiplicity(ws)
-        th = F.theta(ws)
-        if filter in ("point", "levi") and m == 0:
-            continue
-        if filter == "levi" and th != 0:
-            continue
-        yield PointTuple(ws, m, th)
+        m, th = F.point_multiplicity(ws), F.theta(ws)
+        if (filter == "all" or m != 0) and (filter != "levi" or th == 0):
+            yield PointTuple(ws, m, th)
+
+
+def graded_tuple_count(F, n):
+    """The number of graded n-tuples, or _COUNT_CEILING if larger: the t^dim
+    coefficient of (sum_c N_c t^c)^n, N_c the classes of codimension c, by
+    repeated squaring truncated at degree dim, saturating (no term is < 0)."""
+    dim = F.dim
+
+    def times(a, b):
+        return [min(sum(a[i] * b[k - i] for i in range(k + 1)), _COUNT_CEILING)
+                for k in range(dim + 1)]
+
+    base, power = [len(F.by_codim[c]) for c in range(dim + 1)], [1] + [0] * dim
+    for bit in bin(n)[2:]:
+        power = times(power, power)
+        if bit == "1":
+            power = times(power, base)
+    return power[dim]
+
+
+def check_tuple_work(varieties, n):
+    """Raise ResourceCapError on the first variety whose graded tuples x n exceed WORK_CAP."""
+    for F in varieties:
+        count = graded_tuple_count(F, n)
+        if count * n > WORK_CAP:
+            shown = f"{count:,}" if count < _COUNT_CEILING else f"over {_COUNT_CEILING:,}"
+            raise ResourceCapError(f"{F.label} has {shown} graded {n}-tuples, and tuples x n "
+                                   f"is over the cap {WORK_CAP:,}", cap=WORK_CAP)
 
 
 def _graded_tuples(F, n):
-    dim = F.dim
-    partial = []
-
-    def rec(start_from_codim_sum, slots_left):
-        if slots_left == 0:
-            if start_from_codim_sum == dim:
-                yield tuple(partial)
+    """Basis tuples with codim sum dim in lexicographic order of basis index,
+    walked on an explicit stack so that n never meets the recursion limit."""
+    basis, dim, last = F.basis, F.dim, n - 1
+    codims = [F.codim(w) for w in basis]
+    partial, sums, i = [], [0], 0  # the chosen prefix and its running codim sums
+    while True:
+        if i < len(basis):
+            s = sums[-1] + codims[i]
+            if len(partial) < last and s <= dim:
+                partial.append(basis[i])
+                sums.append(s)
+                i = 0
+                continue
+            if len(partial) == last and s == dim:
+                yield (*partial, basis[i])
+            i += 1
+        elif partial:
+            i = F.index[partial.pop()] + 1
+            sums.pop()
+        else:
             return
-        for w in F.basis:
-            c = F.codim(w)
-            s = start_from_codim_sum + c
-            if s > dim:
-                continue
-            if s + (slots_left - 1) * dim < dim:
-                continue
-            partial.append(w)
-            yield from rec(s, slots_left - 1)
-            partial.pop()
-
-    yield from rec(0, n)

@@ -169,11 +169,64 @@ def test_inequalities_csv(capsys):
     assert len(lines) == 4
 
 
-def test_inequalities_tuple_cap(capsys):
-    code, _, err = run(capsys, "inequalities", "--group", "C3", "--n", "3",
-                       "--tuple-cap", "5")
-    assert code == 3
-    assert "cap" in err
+def refused_before_any_integral(monkeypatch, capsys, *argv):
+    # C3 has 21, 123 and 43 graded triples on P1..P3: a cap of 3 * 123 - 1
+    # lets the P1 stream through, so it must fail before that stream starts
+    def fail(*args):
+        raise AssertionError("an integral ran before the work bound was checked")
+
+    monkeypatch.setattr(FlagVariety, "integral_billey", fail)
+    monkeypatch.setattr("eigencones.schubert.WORK_CAP", 3 * 123 - 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == ("resource cap: C3/P2 has 123 graded 3-tuples, "
+                   "and tuples x n is over the cap 368\n")
+
+
+def test_inequalities_tuple_cap(monkeypatch, capsys):
+    refused_before_any_integral(monkeypatch, capsys, "inequalities", "--group", "C3")
+
+
+def test_verify_thm_main_tuple_cap(monkeypatch, capsys):
+    # the sub group of c-in-c at r = 4, s = 3 is C3
+    refused_before_any_integral(monkeypatch, capsys, "verify", "thm-main",
+                                "--case", "c-in-c", "--r", "4", "--s", "3")
+
+
+WORK_BOUND_LINES = [
+    ("inequalities", "--group", "C9", "--n", "3"),
+    ("inequalities", "--group", "C7", "--n", "3"),
+    ("inequalities", "--group", "F4", "--n", "6"),
+    ("inequalities", "--group", "A1", "--n", "2000"),
+    ("inequalities", "--group", "G2", "--n", "1000"),
+    ("membership", "--group", "C7", "--n", "3", "--weights", ";".join(["0,0,0,0,0,0,0"] * 3)),
+    ("verify", "thm-main", "--case", "d-chain", "--r", "9", "--n", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", WORK_BOUND_LINES, ids=" ".join)
+def test_oversized_runs_are_refused_before_they_start(argv):
+    # each ran for minutes, or ended in a RecursionError, before the work bound
+    proc = subprocess.run(
+        [sys.executable, "-m", "eigencones.cli", *argv],
+        capture_output=True, timeout=15,
+        env=dict(os.environ, PYTHONPATH=str(Path(eigencones.__file__).parents[1])),
+    )
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    err = proc.stderr.decode()
+    assert err.startswith("resource cap: ") and len(err.splitlines()) == 1
+
+
+# recorded before the tuple walk became iterative; guards the order of the
+# 41,446 graded F4 triples, which fixes the dedup order and the report bytes
+F4_N3_SHA256 = "f2f62ba44c1731b2d379ec01fa4224aeb93acfad3489451f45fc3f34730cc9f3"
+F4_N3_BYTES = 633_020
+
+
+def test_inequalities_f4_report_is_pinned(capsys):
+    code, out, _ = run(capsys, "inequalities", "--group", "F4", "--n", "3")
+    assert (code, len(out.encode())) == (0, F4_N3_BYTES)
+    assert hashlib.sha256(out.encode()).hexdigest() == F4_N3_SHA256
 
 
 def test_membership_exit_codes(capsys):
@@ -356,6 +409,8 @@ def test_verify_thm_main_rejects_unread_parameters(argv, unread, monkeypatch, ca
     ((), "the following arguments are required: command"),
     (("tables", "sideways"), "argument which: invalid choice: 'sideways' "
                              "(choose from 'g2f4', 'index', 'orbits')"),
+    (("inequalities", "--group", "C3", "--tuple-cap", "5"),
+     "unrecognized arguments: --tuple-cap 5"),
 ])
 def test_rejected_command_line_prints_one_line(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -480,7 +535,6 @@ VALUES = {
     "--r": ("1", "2", "3", "0", "-2"),
     "--s": ("1", "2", "3", "0", "-1"),
     "--tier": ("nonzero", "point", "levi"),
-    "--tuple-cap": ("0", "1", "5"),
     "--words": ("1,2", "e,1", "12,21", "21,121", "2,212", "1", "x,1", ",", "0,1"),
     "--weights": ("0,0;0,0;0,0", "1,0;1,0;0,1", "1,1,2", "0,1,0;0,1,0;2,0,0",
                   "1/0,0;1,0;0,1", "a", "", ";;"),
@@ -489,7 +543,7 @@ VALUES = {
     "--format": ("json", "csv", "table"),
 }
 GROUP_FLAGS = ("--group", "--rank", "--format")
-SYSTEM_FLAGS = GROUP_FLAGS + ("--n", "--tier", "--tuple-cap")
+SYSTEM_FLAGS = GROUP_FLAGS + ("--n", "--tier")
 COMMANDS = {
     ("roots",): GROUP_FLAGS,
     ("cosets",): GROUP_FLAGS + ("--parabolic",),

@@ -12,8 +12,11 @@ from eigencones.rootsys import build_root_system
 from eigencones.schubert import (
     CohomClass,
     FlagVariety,
+    _graded_tuples,
+    check_tuple_work,
     chevalley_multiply,
     flag_variety,
+    graded_tuple_count,
     point_product_tuples,
     structure_constants,
 )
@@ -254,10 +257,70 @@ def test_levi_filter_refines_point_filter():
     assert point <= all_graded
 
 
-def test_tuple_cap():
+def _no_integral(*args):
+    raise AssertionError("an integral ran before the work bound was checked")
+
+
+def test_tuple_cap(monkeypatch):
+    # 123 graded triples, 369 slot evaluations: refused before any integral
     FA = F("C", 3, 2)
-    with pytest.raises(ResourceCapError):
-        list(point_product_tuples(FA, 3, filter="all", tuple_cap=10))
+    monkeypatch.setattr(FlagVariety, "integral_billey", _no_integral)
+    monkeypatch.setattr("eigencones.schubert.WORK_CAP", 368)
+    with pytest.raises(ResourceCapError, match=r"^C3/P2 has 123 graded 3-tuples, and "
+                                               r"tuples x n is over the cap 368$"):
+        next(point_product_tuples(FA, 3, filter="all"))
+
+
+def test_graded_piece_cap_comes_before_the_duals(monkeypatch):
+    def fail(*args):
+        raise AssertionError("duals computed before the graded-piece cap")
+
+    monkeypatch.setattr("eigencones.schubert.dual_rep", fail)
+    monkeypatch.setattr("eigencones.schubert.GRADED_PIECE_CAP", 1)
+    with pytest.raises(ResourceCapError, match="graded piece of C3/P2 exceeds 1 classes"):
+        FlagVariety(build_root_system("C", 3), 2)
+
+
+COUNT_CASES = [
+    *((kind, rank, p) for kind, ranks in [("A", (1, 2, 3)), ("B", (1, 2, 3)),
+                                          ("C", (1, 2, 3)), ("D", (3,))]
+      for rank in ranks for p in range(1, rank + 1)),
+    ("G2", 2, 1), ("G2", 2, 2),
+]
+
+
+@pytest.mark.parametrize("kind,rank,p", COUNT_CASES)
+def test_predicted_tuple_count_is_the_enumerated_count(kind, rank, p):
+    FA = F(kind, rank, p)
+    for n in range(1, 6):
+        walk = list(_graded_tuples(FA, n))
+        assert graded_tuple_count(FA, n) == len(walk)
+        if n <= 4:  # the walk is the graded part of the lexicographic product
+            assert walk == [
+                ws for ws in itertools.product(FA.basis, repeat=n)
+                if sum(map(FA.codim, ws)) == FA.dim
+            ]
+
+
+@pytest.mark.parametrize("kind,total", [("C", 2178), ("D", 876)])
+def test_predicted_tuple_count_of_the_rank_4_triples(kind, total):
+    varieties = [F(kind, 4, p) for p in range(1, 5)]
+    assert sum(graded_tuple_count(FA, 3) for FA in varieties) == total
+    assert sum(1 for FA in varieties for _ in _graded_tuples(FA, 3)) == total
+
+
+def test_walk_has_no_recursion_limit():
+    # one slot holds the point class, every other slot the unit
+    FA = F("A", 1, 1)
+    assert sum(1 for _ in _graded_tuples(FA, 1000)) == 1000
+    assert graded_tuple_count(FA, 1000) == 1000
+
+
+def test_tuple_count_saturates_at_a_huge_n():
+    FA = F("G2", 2, 1)
+    assert graded_tuple_count(FA, 10**30) == 10**18
+    with pytest.raises(ResourceCapError, match=r"has over 1,000,000,000,000,000,000 graded"):
+        check_tuple_work([FA], 10**30)
 
 
 def test_tuple_stream_deterministic():

@@ -131,10 +131,10 @@ KEPT_UNREACHED = {
     # the classical Chevalley rule over FlagVariety.covers, which the
     # localization recursion also reads; the tests check both against it
     ("schubert", "chevalley_multiply"): "Chevalley rule over the covers",
-    # inequality-system I/O and grid helpers, until an exact cone calculus
-    # or a predicted work count gives them a caller or a replacement
-    ("cones", "system_from_json"): "waits on the work-count and cone items",
-    ("cones", "IneqSystem.dumps"): "waits on the work-count and cone items",
+    # inequality-system I/O and grid helpers, until a membership --system
+    # option or an exact cone calculus gives them a caller or a replacement
+    ("cones", "system_from_json"): "waits on membership --system FILE",
+    ("cones", "IneqSystem.dumps"): "waits on membership --system FILE",
     ("cones", "feasible_on_grid"): "waits on the exact cone calculus",
     ("cones", "regions_agree_on_grid"): "waits on the exact cone calculus",
     ("cones", "facet_witnesses"): "waits on the exact cone calculus",
