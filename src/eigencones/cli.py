@@ -64,9 +64,7 @@ def _parse_group(group, rank, words=True):
     if words:
         check_digit_words(rank)
     elif rank > ROOTS_RANK_CAP:
-        raise ResourceCapError(
-            f"roots are built for rank <= {ROOTS_RANK_CAP}", cap=ROOTS_RANK_CAP
-        )
+        raise ResourceCapError(f"roots are built for rank <= {ROOTS_RANK_CAP}")
     return build_root_system(kind, rank)
 
 

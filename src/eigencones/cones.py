@@ -58,7 +58,6 @@ class Inequality:
     words: tuple
     normals: tuple
     scale: Fraction
-    tier: str
     multiplicity: int
 
     def __post_init__(self):
@@ -125,7 +124,6 @@ def system_from_json(doc):
                 words=tuple(rec["words"]),
                 normals=tuple(tuple(int(x) for x in slot) for slot in rec["normals"]),
                 scale=Fraction(int(num), int(den)),
-                tier=doc["tier"],
                 multiplicity=rec["multiplicity"],
             )
         )
@@ -184,7 +182,6 @@ def generate_inequalities(R: RootSystem, n, tier):
                 words=pt.words,
                 normals=normals,
                 scale=scale,
-                tier=tier,
                 multiplicity=pt.multiplicity,
             )
             seen.setdefault(q.key(), q)
@@ -364,8 +361,7 @@ def verify_projection(r, s, n, kind="C"):
     if r * n > GRID_CAP_EXPONENT:  # compare exponents; r * n may be huge
         raise ResourceCapError(
             f"projection grid has {GRID_TOP + 1}^(r * n) cells, and r * n is over "
-            f"the cap exponent {GRID_CAP_EXPONENT}", cap=GRID_CAP,
-        )
+            f"the cap exponent {GRID_CAP_EXPONENT}")
     amb = build_root_system(kind, r)
     sub = build_root_system(kind, s)
     SG = generate_inequalities(amb, n, "levi")

@@ -18,11 +18,10 @@ class UsageError(EigenconesError):
 
 
 class ResourceCapError(EigenconesError):
-    """A configured cap (group size, tuple count, dimension) was exceeded."""
+    """A configured cap (group size, tuple count, dimension) was exceeded.
 
-    def __init__(self, message, cap=None):
-        super().__init__(message)
-        self.cap = cap
+    The message names the cap.
+    """
 
 
 class VerificationError(EigenconesError):

@@ -5,17 +5,21 @@ two elements summing to 2r+1.  This module houses the Weyl <-> index-set
 dictionary, the lift from IG(k,2s) into IG(k,2r), the codimension-jump and
 B/C character-difference formulas, the expected-dimension bookkeeping, and
 the orbit-dimension calculators for the s = r-1 analysis.
+
+Everything is read on ints: the dictionary from the action of w on the fw
+rows of +-e_j, and the theta numbers and character differences from the
+int scalars chi_w(x_P) of the flag varieties.  The epsilon form
+sum_{i<=k} e_i^* of the paper is _eps_form(F) times x_k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import UsageError, VerificationError
 from .rootsys import build_embedding, build_root_system
 from .schubert import FlagVariety, flag_variety
-from .weyl import ParabolicSpec, identity, word_str, word_to_element
+from .weyl import ParabolicSpec, embed_element, word_str, word_to_element
 
 
 @dataclass(frozen=True)
@@ -80,23 +84,23 @@ def weyl_index_bijection(F: FlagVariety):
 
     w corresponds to the positions of w(e_1), ..., w(e_k) in the ordered
     basis e_1, ..., e_r, e_r', ..., e_1' (a negative sign lands in the
-    primed half); the point class e maps to {1..k}.
+    primed half); the point class e maps to {1..k}.  In type C, e_j is
+    omega_j - omega_{j-1}, so each image is looked up among the fw rows of
+    the +-e_j.
     """
     R = F.root_system
     if R.kind != "C":
         raise UsageError("index sets are defined for type C flag varieties")
     r, k = R.rank, F.parabolic.excluded
+    units = [tuple(int(i == j) - int(i == j - 1) for i in range(r)) for j in range(r)]
+    position = {e: j + 1 for j, e in enumerate(units)}
+    position |= {tuple(-x for x in e): 2 * r - j for j, e in enumerate(units)}
     to_index = {}
     for w in F.basis:
-        out = []
-        for i in range(1, k + 1):
-            e_i = tuple(Fraction(1) if j == i - 1 else Fraction(0) for j in range(r))
-            img = w.apply_eps(e_i)
-            nz = [j for j, c in enumerate(img) if c != 0]
-            if len(nz) != 1 or abs(img[nz[0]]) != 1:
-                raise VerificationError("element does not act as a signed permutation")
-            j = nz[0]
-            out.append(j + 1 if img[j] > 0 else 2 * r - j)
+        try:
+            out = [position[w.apply_fw(e)] for e in units[:k]]
+        except KeyError:
+            raise VerificationError("element does not act as a signed permutation") from None
         I = IndexSet(tuple(out), r)
         if dim_from_index(I) != w.length:
             raise VerificationError(f"index dictionary broken at {word_str(w)}")
@@ -141,9 +145,7 @@ def codim_jump_cross_check(I_M: IndexSet, r, k):
     (lifted,) = lift_elements((w,), r, s, k)
     by_dims = FG.codim(lifted) - FM.codim(w)
 
-    chi_G = FG.chi_weight(lifted).ambient
-    chi_M = FM.chi_weight(w).ambient
-    by_chi = sum(chi_G[:k]) - sum(chi_M[:k])
+    by_chi = _eps_form(FG) * FG.chi_at_xP(lifted) - _eps_form(FM) * FM.chi_at_xP(w)
     if not by_formula == by_dims == by_chi:
         raise VerificationError(
             f"codim jump mismatch: formula {by_formula}, dims {by_dims}, chi {by_chi}"
@@ -164,23 +166,15 @@ def bc_delta(I_M: IndexSet, s, k):
 def lift_elements(ws, r, s, k):
     """Embed a W_M^Q tuple into W^P through the first-factor inclusion."""
     E = build_embedding("c-in-c", r=r, s=s)
-    from .weyl import embed_element
-
     P = ParabolicSpec(E.ambient, E.matched_parabolic(k))
     return tuple(embed_element(E, w, minimize_into=P) for w in ws)
 
 
-def _theta_eps(F: FlagVariety, ws, k):
-    # (chi_1 - sum chi_{w_i}) paired against sum_{i<=k} e_i^*.  This is the
-    # intrinsic x_P except for Sp(2s)/P_s, where alpha_s = 2 e_s halves the
-    # intrinsic functional; the codimension comparisons need the eps form.
-    total = F.chi_weight(identity(F.root_system)).ambient
-    for w in ws:
-        total = tuple(a - b for a, b in zip(total, F.chi_weight(w).ambient))
-    val = sum(total[:k])
-    if val.denominator != 1:
-        raise VerificationError("theta evaluation is not integral")
-    return int(val)
+def _eps_form(F: FlagVariety):
+    """sum_{i<=k} e_i^* over x_k in types B and C: 2 on Sp(2s)/P_s, where
+    alpha_s = 2 e_s halves the intrinsic functional, else 1."""
+    R = F.root_system
+    return 2 if R.kind == "C" and F.parabolic.excluded == R.rank else 1
 
 
 def expected_dim_zero_check(ws, r, s, k):
@@ -200,9 +194,9 @@ def expected_dim_zero_check(ws, r, s, k):
     ws_H = tuple(word_to_element(FH.root_system, w.word) for w in ws)
     lifted = lift_elements(ws, r, s, k)
 
-    theta_M = _theta_eps(FM, ws, k)
-    theta_H = _theta_eps(FH, ws_H, k)
-    theta_G = _theta_eps(FG, lifted, k)
+    theta_M = _eps_form(FM) * FM.theta(ws)
+    theta_H = _eps_form(FH) * FH.theta(ws_H)
+    theta_G = _eps_form(FG) * FG.theta(lifted)
     e_G = FG.dim - sum(FG.codim(w) for w in lifted)
     e_M = FM.dim - sum(FM.codim(w) for w in ws)
 

@@ -13,15 +13,14 @@ and rho is (1, ..., 1).  Positive roots, their coroot coefficients and the
 invariant form are the root system's int rows; the form is the fw Gram
 matrix cleared to ints, a positive multiple of the Killing form, which
 scales both sides of Freudenthal's formula alike.  A character table is
-keyed by dominant fw coordinates.  Fraction is left to the boundary:
-parsing input and the lambda - w0 lambda box (its fw coordinates times the
-inverse Cartan matrix, once per table).
+keyed by dominant fw coordinates, and the lambda - w0 lambda box that
+bounds it is read off the root system's int inverse Cartan matrix with one
+exact division.  Fraction is left to the boundary: parsing input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 
@@ -83,7 +82,7 @@ def weyl_dim(R: RootSystem, lam):
         den *= rho_c
     d, r = divmod(num, den)
     if r or d <= 0:
-        raise VerificationError(f"Weyl dimension of {coords} is {Fraction(num, den)}")
+        raise VerificationError(f"Weyl dimension of {coords} is {num}/{den}")
     return d
 
 
@@ -105,7 +104,6 @@ def _orbit(C, v):
 @dataclass(frozen=True)
 class CharacterTable:
     root_system: RootSystem
-    highest: tuple                  # fw coordinates, ints
     multiplicities: dict            # dominant fw coordinates -> positive int
     dim: int
     weights: dict                   # every weight's fw coordinates -> its multiplicity
@@ -120,22 +118,23 @@ def weight_multiplicities(R: RootSystem, lam) -> CharacterTable:
 
     total = weyl_dim(R, coords)
     if total > DIM_CAP:
-        raise ResourceCapError(
-            f"dim {total} exceeds character table cap {DIM_CAP}", cap=DIM_CAP
-        )
+        raise ResourceCapError(f"dim {total} exceeds character table cap {DIM_CAP}")
 
     C = R.cartan_matrix
-    drop = R.fw_to_alpha(tuple(map(sub, coords, longest_element(R).apply_fw(coords))))
-    if any(x < 0 or x.denominator != 1 for x in drop):
-        raise VerificationError(f"lambda - w0 lambda = {drop} is not a "
+    gap = tuple(map(sub, coords, longest_element(R).apply_fw(coords)))
+    # d times lambda - w0 lambda over the simple roots
+    scaled = [sum(map(mul, gap, col)) for col in zip(*R.cartan_inverse)]
+    if any(x < 0 or x % R.inverse_scale for x in scaled):
+        raise VerificationError(f"lambda - w0 lambda = {gap} is not a "
                                 "non-negative integer root combination")
+    drop = [x // R.inverse_scale for x in scaled]
 
     # dominant weights below lam: lam - sum c_i alpha_i over the finite box,
     # each with its depth sum c_i, which is the height of lam - mu
     box = [(coords, 0)]
     for row, b in zip(C, drop):
         box = [(tuple(x - c * a for x, a in zip(v, row)), h + c)
-               for v, h in box for c in range(int(b) + 1)]
+               for v, h in box for c in range(b + 1)]
     dominant = sorted(((v, h) for v, h in box if min(v) >= 0),
                       key=lambda t: t[1])
 
@@ -161,7 +160,7 @@ def weight_multiplicities(R: RootSystem, lam) -> CharacterTable:
         m, r = divmod(acc, denom)
         if r or m < 0:
             raise VerificationError(
-                f"Freudenthal multiplicity {Fraction(acc, denom)} at {mu}")
+                f"Freudenthal multiplicity {acc}/{denom} at {mu}")
         if m:
             mult[mu] = m
 
@@ -169,7 +168,7 @@ def weight_multiplicities(R: RootSystem, lam) -> CharacterTable:
     if sum(weights.values()) != total:
         raise VerificationError(f"character table of {coords} sums to "
                                 f"{sum(weights.values())}, expected {total}")
-    table = CharacterTable(R, coords, mult, total, weights)
+    table = CharacterTable(R, mult, total, weights)
     _table_memo[key] = table
     return table
 
@@ -178,7 +177,7 @@ def tensor_decompose(R: RootSystem, lam, mu):
     """V_lam (x) V_mu as {fw coords: multiplicity}, by Klimyk alternation."""
     lc, mc = _fw_coords(R, lam), _fw_coords(R, mu)
     if weyl_dim(R, lc) * weyl_dim(R, mc) > DIM_CAP:
-        raise ResourceCapError("tensor product dimension exceeds cap", cap=DIM_CAP)
+        raise ResourceCapError("tensor product dimension exceeds cap")
     if weyl_dim(R, lc) < weyl_dim(R, mc):
         lc, mc = mc, lc
     table = weight_multiplicities(R, mc)

@@ -5,9 +5,11 @@ coordinates, and each carries int rows that every layer reads: its
 fundamental-weight coordinates and its coroot over the simple coroots.
 Types A, B, C, D, G2, F4 are also realized by explicit rational simple-root
 vectors in an ambient Euclidean space (the epsilon-basis); epsilon
-coordinates of roots and weights are a view for reports and the epsilon
-API.  The invariant form is the Euclidean one rescaled so that the highest
-root theta has squared length 2; with that normalization all pairings
+coordinates of roots and weights are a view for reports and for the
+normals.  The inverse Cartan matrix is cleared to ints here, once per root
+system, and every layer reads that int matrix and its scale.  The
+invariant form is the Euclidean one rescaled so that the highest root
+theta has squared length 2; with that normalization all pairings
 appearing in the eigencone inequalities are exact rationals.
 
 Also houses the sub-root-system embeddings: Sp(2s) in Sp(2r), SO(2s+1) in
@@ -102,7 +104,8 @@ class RootSystem:
     highest_root: tuple
     rho: tuple
     dual_basis: tuple              # x_i, Killing-identified, epsilon coords
-    cartan_inverse: tuple          # Fractions; row i is omega_i over the simple roots
+    cartan_inverse: tuple          # ints d C^-1; row i is d omega_i over the simple roots
+    inverse_scale: int             # the least such d
     # int rows, one per positive root in positive_roots order
     root_alpha: tuple              # over the simple roots, height-then-lex order
     root_fw: tuple                 # fundamental-weight coordinates, a . C
@@ -120,14 +123,6 @@ class RootSystem:
         return 2 * dot(v, beta) / dot(beta, beta)
 
     # -- coordinate changes ----------------------------------------------
-
-    def fw_to_alpha(self, coords):
-        """Fundamental-weight coordinates to coordinates over the simple roots."""
-        return tuple(dot(coords, col) for col in zip(*self.cartan_inverse))
-
-    def fw_coords(self, v):
-        """Fundamental-weight coordinates: j-th entry is v on alpha_j's coroot."""
-        return tuple(self.coroot_pairing(v, a) for a in self.simple_roots)
 
     def from_fw(self, coords):
         if len(coords) != self.rank:
@@ -156,10 +151,6 @@ class Weight:
         exact = map(Fraction, self.coords)
         object.__setattr__(self, "coords", tuple(
             x.numerator if x.denominator == 1 else x for x in exact))
-
-    @property
-    def ambient(self):
-        return self.root_system.from_fw(self.coords)
 
     def is_dominant(self):
         return all(c >= 0 for c in self.coords)
@@ -243,8 +234,7 @@ def build_root_system(kind, rank):
     theta = pos_roots[-1]  # unique maximal height
     scale = Fraction(2) / dot(theta, theta)
 
-    cartan_inv = mat_inv(cartan)
-    d_inv, inv_int = integer_multiple(cartan_inv)
+    d_inv, inv_int = integer_multiple(mat_inv(cartan))
     fws = view(inv_int, d_inv * d_eps)
     rho = view([tuple(map(sum, zip(*alphas)))], 2 * d_eps)[0]
 
@@ -276,7 +266,8 @@ def build_root_system(kind, rank):
         highest_root=theta,
         rho=rho,
         dual_basis=dual_basis,
-        cartan_inverse=cartan_inv,
+        cartan_inverse=inv_int,
+        inverse_scale=d_inv,
         root_alpha=alphas,
         root_fw=root_fw,
         root_coroot=tuple(root_coroot),
@@ -490,9 +481,12 @@ def embed_weight(E, mu):
     """
     if mu.root_system.label != E.sub.label:
         raise UsageError("weight is not over the sub root system")
+    # d times mu over the sub simple roots, divided by d once at the end
     acoords = [sum(map(mul, mu.coords, col)) for col in zip(*E.sub.cartan_inverse)]
     images = [_average(E.ambient.root_fw, orbit) for orbit in E.members]
-    return Weight(E.ambient, tuple(sum(map(mul, acoords, col)) for col in zip(*images)))
+    d = E.sub.inverse_scale
+    return Weight(E.ambient, tuple(
+        Fraction(sum(map(mul, acoords, col)), d) for col in zip(*images)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,20 +15,22 @@ filled from the longest class down with one exact int division per entry,
 and are kept by basis position with a bitset of the fixed points v >= w where
 sigma_w is non-zero.  An integral is an int sum over the common support of
 terms scaled by E / e_v, for E the lcm of the Euler factors e_v, divided once
-by E.  theta sums one cached int chi_w(x_P) per class.  chevalley_multiply
-reads the recursion's covers; the tests check both against Billey's formula.
+by E, and a remainder is a VerificationError.  theta sums one cached int
+chi_w(x_P) per class, the alpha_P-coefficient of chi_w read off the root
+system's int inverse Cartan matrix.  Nothing here is a Fraction.
+chevalley_multiply reads the recursion's covers; the tests check both
+against Billey's formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm, prod
 from operator import and_, mul, or_
 
 from .errors import ResourceCapError, UsageError, VerificationError
-from .linalg import integer_multiple, set_bits
+from .linalg import set_bits
 from .rootsys import RootSystem, Weight
 from .weyl import ParabolicSpec, dual_rep, minimal_coset_reps, root_reflection, word_str
 
@@ -52,7 +54,7 @@ class FlagVariety:
             by_codim.setdefault(self.codim(w), []).append(w)
         if max(len(v) for v in by_codim.values()) > GRADED_PIECE_CAP:  # before the duals
             raise ResourceCapError(f"graded piece of {self.label} exceeds "
-                                   f"{GRADED_PIECE_CAP} classes", cap=GRADED_PIECE_CAP)
+                                   f"{GRADED_PIECE_CAP} classes")
         self._dual = {w: dual_rep(w, self.parabolic) for w in self.basis}
         # positive roots beta outside the Levi: int fw coordinates,
         # <omega_P, beta^vee> and the reflection r_beta
@@ -110,8 +112,9 @@ class FlagVariety:
             return self._tables
         R = self.root_system
         # the generic point on the fundamental weights, times d: exact on the root lattice
-        d, inv = integer_multiple(R.cartan_inverse)
-        omega = [sum(c * _GENERIC_BASE ** (j + 1) for j, c in enumerate(row)) for row in inv]
+        d = R.inverse_scale
+        omega = [sum(c * _GENERIC_BASE ** (j + 1) for j, c in enumerate(row))
+                 for row in R.cartan_inverse]
 
         def value(fw):
             return sum(map(mul, fw, omega)) // d
@@ -159,18 +162,21 @@ class FlagVariety:
     def integral_billey(self, ws):
         """Integral of a product of length-indexed Schubert classes.
 
-        Exact when the total length equals dim; zero below; undefined above.
+        An int when the total length equals dim; zero below; undefined above.
         """
         total = sum(self.dim - self.codim(w) for w in ws)  # codim rejects non-basis w
         if total < self.dim:
-            return Fraction(0)
+            return 0
         if total > self.dim:
             raise UsageError("integral of an over-degree product is not defined")
         rest, support, mult, denom = self._localization()
         rows = [rest[self.index[w]] for w in ws]
         common = reduce(and_, (support[self.index[w]] for w in ws))
         acc = sum(mult[j] * prod(row[j] for row in rows) for j in set_bits(common))
-        return Fraction(acc, denom)
+        value, remainder = divmod(acc, denom)
+        if remainder:
+            raise VerificationError(f"{self.label}: non-integer intersection number")
+        return value
 
     # -- products ---------------------------------------------------------
 
@@ -178,10 +184,7 @@ class FlagVariety:
         """m with sigma_{w1}...sigma_{wn} = m [pt]; requires codim sum = dim."""
         if sum(self.codim(w) for w in ws) != self.dim:
             raise UsageError("codimensions do not sum to dim")
-        m = self.integral_billey(tuple(self._dual[w] for w in ws))
-        if m.denominator != 1:
-            raise VerificationError(f"{self.label}: non-integer intersection number")
-        return int(m)
+        return self.integral_billey(tuple(self._dual[w] for w in ws))
 
     def cup_product(self, u, v):
         if u not in self.index or v not in self.index:
@@ -195,10 +198,8 @@ class FlagVariety:
             a, b = self._dual[u], self._dual[v]
             for w in self.by_codim[cu + cv]:
                 n = self.integral_billey((a, b, w))
-                if n.denominator != 1:
-                    raise VerificationError(f"{self.label}: non-integer structure constant")
                 if n != 0:
-                    coeffs[w] = int(n)
+                    coeffs[w] = n
         out = CohomClass(self, coeffs)
         self._pair_cache[key] = out
         return out
@@ -229,23 +230,22 @@ class FlagVariety:
         self._chi[w] = out
         return out
 
-    def eval_xP(self, weight: Weight):
-        """Evaluation at the dual basis element of the excluded node."""
-        a = self.root_system.fw_to_alpha(weight.coords)
-        return a[self.parabolic.excluded - 1]
-
-    def _chi_at_xP(self, w):
-        """chi_w(x_P), an int per class: the x_P-coefficient of a root sum."""
+    def chi_at_xP(self, w):
+        """chi_w(x_P), an int per class: the alpha_P-coefficient of the root sum chi_w."""
         if w not in self._chi_xP:
-            val = self.eval_xP(self.chi_weight(w))
-            if val.denominator != 1:
-                raise VerificationError("theta must be an integer")
-            self._chi_xP[w] = int(val)
+            R, p = self.root_system, self.parabolic.excluded - 1
+            coords = self.chi_weight(w).coords
+            scaled = sum(c * row[p] for c, row in zip(coords, R.cartan_inverse))
+            val, remainder = divmod(scaled, R.inverse_scale)
+            if remainder:
+                raise VerificationError(f"{self.label}: chi_w(x_P) is not an integer "
+                                        f"at {word_str(w)}")
+            self._chi_xP[w] = val
         return self._chi_xP[w]
 
     def theta(self, ws):
         # chi_e is the full root sum; chi is additive over the slots
-        t = self._chi_at_xP
+        t = self.chi_at_xP
         return t(self.point_element()) - sum(map(t, ws))
 
     def is_levi_movable(self, ws):
@@ -379,7 +379,7 @@ def check_tuple_work(varieties, n):
         if count * n > WORK_CAP:
             shown = f"{count:,}" if count < _COUNT_CEILING else f"over {_COUNT_CEILING:,}"
             raise ResourceCapError(f"{F.label} has {shown} graded {n}-tuples, and tuples x n "
-                                   f"is over the cap {WORK_CAP:,}", cap=WORK_CAP)
+                                   f"is over the cap {WORK_CAP:,}")
 
 
 def _graded_tuples(F, n):

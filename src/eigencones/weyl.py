@@ -13,8 +13,8 @@ canonical word and the length, which is computed only when read.  Root
 rows come from the root system.  The inverse is K^-1 w^T K for the root
 system's int fundamental-weight Gram matrix K, whose inverse (the
 simple-coroot Gram matrix, up to scale) is cleared to ints once per root
-system.  Epsilon coordinates are a view: apply_eps converts through the
-root system's fundamental-weight coordinates and back.
+system.  The height functional is the row sums of the root system's int
+inverse Cartan matrix; weyl reads no epsilon coordinates.
 """
 
 from __future__ import annotations
@@ -79,11 +79,6 @@ class WeylElement:
     def apply_fw(self, coords):
         return tuple(sum(map(mul, row, coords)) for row in self.matrix)
 
-    def apply_eps(self, v):
-        """Action on an ambient vector lying in the root span."""
-        R = self.root_system
-        return R.from_fw(self.apply_fw(R.fw_coords(v)))
-
     def sends_positive(self, i):
         """True iff w(alpha_i) is a positive root (1-based i)."""
         if not 1 <= i <= self.root_system.rank:
@@ -106,7 +101,7 @@ class _Context:
         r = R.rank
         self.refl = tuple(_simple_matrix(R.cartan_matrix, i) for i in range(r))
         # a positive multiple of the height, over fw coordinates
-        _, (self.height,) = integer_multiple([[sum(row) for row in R.cartan_inverse]])
+        self.height = tuple(map(sum, R.cartan_inverse))
         # the simple-coroot Gram matrix inverts the fw one
         self.gram_scale, self.coroot_gram = integer_multiple(mat_inv(R.weight_gram))
         self.id_matrix = tuple(
@@ -228,9 +223,7 @@ def generate_weyl_group(R):
                     new.append(p)
         if len(seen) > WEYL_SIZE_CAP:
             raise ResourceCapError(
-                f"Weyl group of {R.label} exceeds the size cap {WEYL_SIZE_CAP}",
-                cap=WEYL_SIZE_CAP,
-            )
+                f"Weyl group of {R.label} exceeds the size cap {WEYL_SIZE_CAP}")
         frontier = new
     return frozenset(WeylElement(R, m, l) for m, l in seen.items())
 

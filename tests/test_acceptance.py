@@ -36,6 +36,7 @@ from eigencones.schubert import (
     point_product_tuples,
 )
 from eigencones.weyl import ParabolicSpec, dual_rep, word_to_element
+from epsilon import ambient
 
 # printed coset tables for the exceptional embedding, as (w, value) pairs;
 # comparison is at element level after canonical re-reduction
@@ -159,8 +160,8 @@ def test_criterion_4_identity_suite():
                 codim_jump_cross_check(I_M, r, k)
                 # bc_delta against the actual B/C character difference
                 wb = word_to_element(FH.root_system, w.word)
-                diff = sum(FM.chi_weight(w).ambient[:k]) \
-                    - sum(FH.chi_weight(wb).ambient[:k])
+                diff = sum(ambient(FM.chi_weight(w))[:k]) \
+                    - sum(ambient(FH.chi_weight(wb))[:k])
                 assert diff == bc_delta(I_M, s, k)
                 checked_cells += 1
 

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
@@ -512,14 +511,15 @@ def test_embedding_reports_match_the_benchmark_digests(job, argv, capsys):
 
 
 def test_failed_self_check_exits_1_with_one_line(monkeypatch, capsys):
-    # a non-integral theta is an internal failure, not a usage error; the
-    # varieties must be fresh, as cached ones hold their theta scalars
+    # a failed localization duality check is an internal failure, not a usage
+    # error; the varieties must be fresh, as cached ones hold their tables
     flag_variety.cache_clear()
-    monkeypatch.setattr(FlagVariety, "eval_xP", lambda self, weight: Fraction(1, 2))
+    integral = FlagVariety.integral_billey
+    monkeypatch.setattr(FlagVariety, "integral_billey", lambda self, ws: integral(self, ws) + 1)
     code, out, err = run(capsys, "inequalities", "--group", "A1", "--n", "3")
     assert code == 1
     assert out == ""
-    assert err.startswith("verification failure: theta")
+    assert err.startswith("verification failure: A1/P1: localization failed duality check")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 

@@ -29,6 +29,7 @@ from eigencones.cones import (
 )
 from eigencones.errors import ResourceCapError, UsageError
 from eigencones.rootsys import Weight, build_root_system, weight_coords
+from epsilon import ambient
 
 GOLDEN = Path(__file__).parent / "golden"
 HALF_STEPS = [Fraction(k, 2) for k in range(5)]   # 0, 1/2, ..., 2
@@ -348,14 +349,14 @@ def test_integral_embedded_weights_have_int_coordinates():
 def reference_project(lam, s):
     """The epsilon projection the embedding restriction replaced: truncate."""
     sub = build_root_system(lam.root_system.kind, s)
-    eps = lam.ambient[:s]
+    eps = ambient(lam)[:s]
     return tuple(sub.coroot_pairing(eps, a) for a in sub.simple_roots)
 
 
 def reference_include(lam, r):
     """The epsilon inclusion the embedding section replaced: zero-pad."""
     amb = build_root_system(lam.root_system.kind, r)
-    eps = lam.ambient + (Fraction(0),) * (r - lam.root_system.rank)
+    eps = ambient(lam) + (Fraction(0),) * (r - lam.root_system.rank)
     return tuple(amb.coroot_pairing(eps, a) for a in amb.simple_roots)
 
 

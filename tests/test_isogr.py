@@ -1,6 +1,7 @@
 """Index-set calculus, lifts, codimension jumps, orbit dimensions."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,8 @@ from eigencones.isogr import (
 )
 from eigencones.rootsys import build_root_system
 from eigencones.schubert import flag_variety, point_product_tuples
-from eigencones.weyl import identity, word_str
+from eigencones.weyl import WeylElement, identity, word_str
+from epsilon import ambient, apply_eps
 
 
 def FC(r, k):
@@ -282,3 +284,44 @@ def test_codim_jump_disagreement_is_a_verification_error(monkeypatch):
     monkeypatch.setattr(isogr, "codim_jump", lambda I_M, r, s: -1)
     with pytest.raises(VerificationError, match="codim jump mismatch"):
         codim_jump_cross_check(IndexSet((1,), 1), 2, 1)
+
+
+def test_non_signed_permutation_is_a_verification_error(monkeypatch):
+    F = FC(2, 1)
+    monkeypatch.setattr(WeylElement, "apply_fw", lambda self, coords: (0,) * len(coords))
+    with pytest.raises(VerificationError, match="signed permutation"):
+        weyl_index_bijection(F)
+
+
+# -- the epsilon formulas that the int paths replaced, kept as references ----
+
+
+@pytest.mark.parametrize("kind,s", [(kind, s) for kind in "BC" for s in range(1, 5)])
+def test_eps_form_times_the_chi_scalar_is_the_epsilon_sum(kind, s):
+    # sum_{i<=k} e_i^* of chi_w, on every class of every parabolic
+    for k in range(1, s + 1):
+        F = flag_variety(build_root_system(kind, s), k)
+        for w in F.basis:
+            eps_sum = sum(ambient(F.chi_weight(w))[:k])
+            assert eps_sum == isogr._eps_form(F) * F.chi_at_xP(w), (k, word_str(w))
+
+
+def reference_index_set(w, k):
+    """The positions of w(e_1), ..., w(e_k), by the epsilon action."""
+    r = w.root_system.rank
+    out = []
+    for i in range(k):
+        img = apply_eps(w, tuple(Fraction(int(j == i)) for j in range(r)))
+        (j,) = [j for j, c in enumerate(img) if c != 0]
+        assert abs(img[j]) == 1, "not a signed permutation"
+        out.append(j + 1 if img[j] > 0 else 2 * r - j)
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_index_sets_match_the_epsilon_signed_permutation(r):
+    for k in range(1, r + 1):
+        F = FC(r, k)
+        to_index, _ = weyl_index_bijection(F)
+        for w in F.basis:
+            assert to_index[w].elems == reference_index_set(w, k), (k, word_str(w))

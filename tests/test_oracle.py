@@ -18,6 +18,7 @@ from eigencones.oracle import (
     weyl_dim,
 )
 from eigencones.rootsys import build_root_system
+from epsilon import fw_coords
 
 A1 = build_root_system("A", 1)
 C2 = build_root_system("C", 2)
@@ -31,7 +32,7 @@ def multiplicity(table, v_eps):
         raise UsageError(f"expected {R.ambient_dim} epsilon coordinates, "
                          f"got {len(v_eps)}")
     v = tuple(Fraction(x) for x in v_eps)
-    fw = R.fw_coords(v)
+    fw = fw_coords(R, v)
     if any(x.denominator != 1 for x in fw) or R.from_fw(fw) != v:
         return 0
     return table.weights.get(tuple(int(x) for x in fw), 0)

@@ -3,7 +3,7 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import product
 from types import SimpleNamespace
 
@@ -26,28 +26,7 @@ from eigencones.rootsys import (
     root_system_to_json,
 )
 from eigencones.weyl import WeylElement, _generator_images
-
-
-# epsilon lookups for the tests; the package reads the int root rows
-def alpha_coords(R, v):
-    """Coordinates of v over the simple roots (v must lie in their span)."""
-    return R.fw_to_alpha(R.fw_coords(v))
-
-
-@lru_cache(maxsize=None)
-def _positions(R):
-    return {b: k for k, b in enumerate(R.positive_roots)}
-
-
-def root_index(R, v):
-    """Position in positive_roots of whichever of +-v is there, else None."""
-    v = tuple(v)
-    i = _positions(R).get(v)
-    return _positions(R).get(tuple(-x for x in v)) if i is None else i
-
-
-def is_positive_root(R, v):
-    return tuple(v) in _positions(R)
+from epsilon import alpha_coords, ambient, fw_coords, is_positive_root, root_index
 
 
 def epsilon_views(E):
@@ -259,7 +238,7 @@ def test_int_root_rows_match_the_epsilon_pairings(kind, rank):
     rows = zip(R.positive_roots, R.root_alpha, R.root_fw, R.root_coroot)
     for beta, alpha, fw, coroot in rows:
         assert alpha == alpha_coords(R, beta)
-        assert fw == R.fw_coords(beta)
+        assert fw == fw_coords(R, beta)
         assert coroot == tuple(
             R.coroot_pairing(omega, beta) for omega in R.fundamental_weights
         )
@@ -289,7 +268,7 @@ def test_positive_root_order_deterministic():
 def test_fw_roundtrip_c3(coords):
     R = build_root_system("C", 3)
     v = R.from_fw(tuple(Fraction(c) for c in coords))
-    assert R.fw_coords(v) == tuple(Fraction(c) for c in coords)
+    assert fw_coords(R, v) == tuple(Fraction(c) for c in coords)
 
 
 @given(
@@ -491,7 +470,7 @@ def reference_embedding(case, r=None, s=None):
     }
 
     def reflection_matrix(beta):
-        fw = amb.fw_coords(beta)
+        fw = fw_coords(amb, beta)
         cvee = [amb.coroot_pairing(w, beta) for w in amb.fundamental_weights]
         n = amb.rank
         return tuple(
@@ -504,13 +483,13 @@ def reference_embedding(case, r=None, s=None):
         return g.matrix
 
     def restrict(lam):
-        v = lam.ambient
+        v = ambient(lam)
         return tuple(amb.coroot_pairing(v, b) for b in images)
 
     def section(mu):
-        acoords = alpha_coords(sub, mu.ambient)
+        acoords = alpha_coords(sub, ambient(mu))
         v = reduce(vadd, (vscale(c, b) for c, b in zip(acoords, images)))
-        return amb.fw_coords(v)
+        return fw_coords(amb, v)
 
     return SimpleNamespace(
         orbits=tuple(tuple(o) for o in orbits),

@@ -8,7 +8,7 @@ import pytest
 
 from eigencones.errors import ResourceCapError, UsageError, VerificationError
 from eigencones.oracle import invariant_dim
-from eigencones.rootsys import build_root_system
+from eigencones.rootsys import Weight, build_root_system
 from eigencones.schubert import (
     CohomClass,
     FlagVariety,
@@ -29,7 +29,7 @@ from eigencones.weyl import (
     word_to_element,
 )
 
-from test_rootsys import alpha_coords, is_positive_root
+from epsilon import alpha_coords, ambient, apply_eps, fw_to_alpha, is_positive_root
 
 
 def F(kind, rank, p):
@@ -164,7 +164,7 @@ def test_chi_identity_and_top():
         # chi_e = 2(rho - rho^L) = 2 rho - (the sum of the Levi's positive roots)
         levi = [b for b in R.positive_roots if alpha_coords(R, b)[p - 1] == 0]
         expected = tuple(2 * r - sum(c) for r, *c in zip(R.rho, *levi))
-        assert chi_e.ambient == expected
+        assert ambient(chi_e) == expected
         top = FA.basis[-1]
         assert all(c == 0 for c in FA.chi_weight(top).coords)
 
@@ -174,7 +174,7 @@ def test_chi_a2_p1():
     R = FA.root_system
     chi = FA.chi_weight(word_to_element(R, "1"))
     a1, a2 = R.simple_roots
-    assert chi.ambient == tuple(x + y for x, y in zip(a1, a2))
+    assert ambient(chi) == tuple(x + y for x, y in zip(a1, a2))
 
 
 def test_chi_cross_check_root_sum():
@@ -188,9 +188,9 @@ def test_chi_cross_check_root_sum():
             for beta in R.positive_roots:
                 if alpha_coords(R, beta)[p - 1] == 0:  # Levi root
                     continue
-                if is_positive_root(R, w.apply_eps(beta)):
+                if is_positive_root(R, apply_eps(w, beta)):
                     total = tuple(a + b for a, b in zip(total, beta))
-            assert FA.chi_weight(w).ambient == total
+            assert ambient(FA.chi_weight(w)) == total
 
 
 def test_theta_trivial_tuples():
@@ -346,11 +346,25 @@ def test_cup_product_rejects_foreign_elements():
 
 
 def test_non_integral_theta_is_a_verification_error(monkeypatch):
-    # a fresh variety: a cached one already holds its per-class theta scalars
-    FA = FlagVariety(build_root_system("C", 2), 1)
-    monkeypatch.setattr(FlagVariety, "eval_xP", lambda self, weight: Fraction(1, 2))
-    with pytest.raises(VerificationError, match="theta"):
+    # a fresh variety: a cached one already holds its per-class theta scalars;
+    # omega_1 = alpha_1 + alpha_2 / 2 in C2 has a half alpha_2-coefficient
+    FA = FlagVariety(build_root_system("C", 2), 2)
+    half = Weight(FA.root_system, (1, 0))
+    monkeypatch.setattr(FlagVariety, "chi_weight", lambda self, w: half)
+    with pytest.raises(VerificationError, match=r"chi_w\(x_P\) is not an integer"):
         FA.theta((FA.basis[-1],))
+
+
+def test_inexact_integral_is_a_verification_error():
+    # a Poincare pair integrates to E / E; over 2E it leaves a remainder
+    FA = FlagVariety(build_root_system("C", 2), 1)
+    rest, support, mult, denom = FA._localization()
+    FA._tables = rest, support, mult, 2 * denom
+    w = FA.basis[1]
+    with pytest.raises(VerificationError, match="C2/P1: non-integer intersection number"):
+        FA.integral_billey((w, FA.dual(w)))
+    with pytest.raises(VerificationError, match="non-integer intersection number"):
+        FA.point_multiplicity((FA.point_element(), FA.basis[-1]))
 
 
 def _grassmannian_partition(FA, w):
@@ -358,7 +372,7 @@ def _grassmannian_partition(FA, w):
     at positions i_1 < ... < i_k, and the parts are i_j - j, largest first."""
     R = FA.root_system
     k = FA.parabolic.excluded
-    v = w.apply_eps(R.fundamental_weights[k - 1])
+    v = apply_eps(w, R.fundamental_weights[k - 1])
     positions = [i for i, x in enumerate(v, 1) if x == max(v)]
     return tuple(reversed([i - j for j, i in enumerate(positions, 1)]))
 
@@ -407,7 +421,7 @@ def reference_localization(FA):
         betas = []
         prefix = identity(R)
         for i in word:
-            betas.append(reference_root_value(FA, prefix.apply_eps(R.simple_roots[i - 1])))
+            betas.append(reference_root_value(FA, apply_eps(prefix, R.simple_roots[i - 1])))
             prefix = prefix * simple_reflection(R, i)
         states = {identity(R): Fraction(1)}
         for pos, i in enumerate(word):
@@ -425,7 +439,7 @@ def reference_localization(FA):
     for v in FA.basis:
         e = Fraction(1)
         for b in outside:
-            e *= -reference_root_value(FA, v.apply_eps(b))
+            e *= -reference_root_value(FA, apply_eps(v, b))
         euler[v] = e
     return rest, euler
 
@@ -453,7 +467,7 @@ def reference_theta(FA, ws):
     s = FA.chi_weight(FA.point_element())
     for w in ws:
         s = s - FA.chi_weight(w)
-    val = FA.eval_xP(s)
+    val = fw_to_alpha(FA.root_system, s.coords)[FA.parabolic.excluded - 1]
     assert val.denominator == 1
     return int(val)
 
@@ -468,7 +482,7 @@ def test_int_localization_matches_the_fraction_reference(kind, rank, p):
             continue
         got = FA.integral_billey(ws)
         assert got == reference_integral(FA, tables, ws), tuple(map(word_str, ws))
-        assert got.denominator == 1
+        assert type(got) is int
         assert FA.theta(ws) == reference_theta(FA, ws)
         triples += 1
     assert triples > 0

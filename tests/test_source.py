@@ -1,8 +1,9 @@
 """Source-level rules for the package: no bare asserts, no numpy, no
-Fraction on the localization, theta and grid-scan hot paths, no epsilon
-arithmetic in the embedding layer or the B/C projection, no epsilon data in
-weyl, Weyl's private context kept inside weyl, and no def that nothing the
-package runs reaches."""
+Fraction on the localization, intersection-number, theta, index-set and
+grid-scan hot paths nor anywhere in schubert and isogr, no epsilon
+arithmetic in the embedding layer, the B/C projection or the isotropic
+Grassmannian checks, no epsilon data in weyl, Weyl's private context kept
+inside weyl, and no def that nothing the package runs reaches."""
 
 import ast
 from pathlib import Path
@@ -46,6 +47,15 @@ def _function(module, name):
     pytest.param("schubert", "FlagVariety._localization", id="_localization"),
     pytest.param("schubert", "FlagVariety.covers", id="covers"),
     pytest.param("schubert", "FlagVariety.theta", id="theta"),
+    # intersection numbers are one int division, chi_w(x_P) one more
+    pytest.param("schubert", "FlagVariety.integral_billey", id="integral_billey"),
+    pytest.param("schubert", "FlagVariety.chi_at_xP", id="chi_at_xP"),
+    # index sets, theta numbers and character differences of IG(k, 2r)
+    *(pytest.param("isogr", fn, id=f"isogr.{fn}")
+      for fn in ("weyl_index_bijection", "codim_jump_cross_check",
+                 "expected_dim_zero_check")),
+    # the lambda - w0 lambda box is read off the int inverse Cartan matrix
+    pytest.param("oracle", "weight_multiplicities", id="oracle.weight_multiplicities"),
     # the grid kernel scans int value tables as int bitsets
     *(pytest.param("cones", fn, id=f"cones.{fn}")
       for fn in ("_value_tables", "_tail", "_value_sets", "_walls", "_scan",
@@ -59,8 +69,19 @@ def test_no_fraction_in_the_int_hot_paths(module, name):
     assert "Fraction" not in names, f"Fraction in {module}.{name}"
 
 
+@pytest.mark.parametrize("module", ["schubert", "isogr"])
+def test_no_fraction_import(module):
+    # intersection numbers, theta and index sets are ints end to end
+    path = Path(eigencones.__file__).parent / f"{module}.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {a.name for a in node.names} | {getattr(node, "module", None)}
+    assert not imported & {"Fraction", "fractions"}, f"{module} imports Fraction"
+
+
 def test_weyl_keeps_no_epsilon_data():
-    # apply_eps is a view through the root system's fw coordinates
+    # weyl reads the root system's int rows and no epsilon coordinates
     path = Path(eigencones.__file__).parent / "weyl.py"
     tree = ast.parse(path.read_text(), str(path))
     imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
@@ -73,7 +94,8 @@ def test_weyl_keeps_no_epsilon_data():
 
 
 EPSILON_NAMES = {"killing", "coroot_pairing", "fw_coords", "alpha_coords",
-                 "from_fw", "simple_roots", "vadd", "vscale",
+                 "from_fw", "simple_roots", "vadd", "vscale", "fw_to_alpha",
+                 "apply_eps",
                  # the epsilon views and the lookup of a root by its vector
                  "positive_roots", "simple_images", "root_index", "reflection"}
 
@@ -89,9 +111,11 @@ EPSILON_NAMES = {"killing", "coroot_pairing", "fw_coords", "alpha_coords",
     ("cones", "project_weight_BC"),
     ("cones", "include_weight_BC"),
     ("cones", "projection_step_invariance"),
-    ("schubert", "FlagVariety.eval_xP"),
     ("schubert", "FlagVariety.covers"),
     ("schubert", "chevalley_multiply"),
+    ("isogr", "weyl_index_bijection"),
+    ("isogr", "codim_jump_cross_check"),
+    ("isogr", "expected_dim_zero_check"),
 ])
 def test_embeddings_read_only_int_root_rows(module, name):
     # orbits are named in simple-root coordinates; epsilon is a view

@@ -27,7 +27,7 @@ from eigencones.weyl import (
     word_to_element,
 )
 
-from test_rootsys import alpha_coords, is_positive_root
+from epsilon import alpha_coords, apply_eps, fw_coords, is_positive_root
 
 
 def poincare_counts(elements):
@@ -108,7 +108,7 @@ def test_length_counts_inversions():
     for w in generate_weyl_group(R):
         inversions = sum(
             1 for beta in R.positive_roots
-            if not is_positive_root(R, w.apply_eps(beta))
+            if not is_positive_root(R, apply_eps(w, beta))
         )
         assert inversions == w.length
 
@@ -119,8 +119,17 @@ def _reference_length(w):
     R = w.root_system
     return sum(
         1 for beta in R.positive_roots
-        if any(c < 0 for c in alpha_coords(R, R.from_fw(w.apply_fw(R.fw_coords(beta)))))
+        if any(c < 0 for c in alpha_coords(R, R.from_fw(w.apply_fw(fw_coords(R, beta)))))
     )
+
+
+def _reflect_along(R, word, v):
+    # w(v) for w = s_i1 ... s_ik, by Euclidean reflections in the simple roots
+    for i in reversed(word):
+        a = R.simple_roots[i - 1]
+        c = R.coroot_pairing(v, a)
+        v = tuple(x - c * y for x, y in zip(v, a))
+    return v
 
 
 @pytest.mark.parametrize("kind,rank,p", [("G2", 2, None), ("B", 3, None), ("F4", 4, 1)])
@@ -132,14 +141,14 @@ def test_integer_kernel_matches_fraction_reference(kind, rank, p):
         elements = minimal_coset_reps(R, ParabolicSpec(R, p))
     probes = [R.rho, R.highest_root, *R.simple_roots, *R.fundamental_weights,
               tuple(Fraction(i + 1, 3) for i in range(R.ambient_dim))]
-    probes = [R.from_fw(R.fw_coords(v)) for v in probes]  # into the root span
+    probes = [R.from_fw(fw_coords(R, v)) for v in probes]  # into the root span
     for w in elements:
         fresh = word_to_element(R, w.word)  # length not handed down by the BFS
         assert fresh.length == w.length == _reference_length(w)
         assert w * w.inverse() == identity(R)
         assert w.inverse() * w == identity(R)
         for v in probes:
-            assert w.apply_eps(v) == R.from_fw(w.apply_fw(R.fw_coords(v)))
+            assert apply_eps(w, v) == _reflect_along(R, w.word, v)
 
 
 def test_canonical_word_rejects_a_non_weyl_matrix():
@@ -210,7 +219,7 @@ def test_minimal_rep_idempotent_and_criterion():
         assert is_minimal_rep(m, P)
         # minimality criterion: m(alpha) > 0 for every Levi simple root
         for i in P.levi_simple:
-            assert is_positive_root(R, m.apply_eps(R.simple_roots[i - 1]))
+            assert is_positive_root(R, apply_eps(m, R.simple_roots[i - 1]))
 
 
 def test_dual_rep_involution():
