@@ -527,50 +527,3 @@ def _grid_scan(tables, sub_tables, n, n_slots, zero_index):
         if any(sum(t[i][w[i]] for i in range(n)) > 0 for t in sub_tables):
             violations.append({"facet": qi, "tuple": w})
     return count, violations, boundary
-
-
-def _region_tables(S: IneqSystem, slot_coords):
-    """_value_tables of S over slot_coords, exact for rational coordinates."""
-    # scaling by one common positive integer keeps the sign of every value
-    coords = [tuple(Fraction(x) for x in c) for c in slot_coords]
-    d = lcm(*(x.denominator for c in coords for x in c))
-    return _value_tables(S, [tuple(int(x * d) for x in c) for c in coords])
-
-
-def feasible_on_grid(S: IneqSystem, slot_coords):
-    """Index tuples of slot_coords entries satisfying every inequality."""
-    rows = _scan(_region_tables(S, slot_coords), S.n, len(slot_coords))
-    return set(_cells(rows, S.n, len(slot_coords)))
-
-
-def regions_agree_on_grid(S1: IneqSystem, S2: IneqSystem, slot_coords):
-    """True when both systems cut out the same members from the grid.
-
-    slot_coords may be rational; each system is evaluated after joint
-    integer scaling so the comparison is exact.
-    """
-    if S1.n != S2.n or S1.root_system is not S2.root_system:
-        raise UsageError("systems must share group and n")
-    tables1, tables2 = (_region_tables(S, slot_coords) for S in (S1, S2))
-    n_slots = len(slot_coords)
-    return _scan(tables1, S1.n, n_slots) == _scan(tables2, S2.n, n_slots)
-
-
-def facet_witnesses(S: IneqSystem, slot_coords):
-    """Per inequality, a grid tuple tight on it and strict on all others.
-
-    Returns a list of (inequality index, witness or None), the witness
-    being the first such tuple in itertools.product order; misses are
-    possible at coarse resolution and are reported rather than fatal.
-    """
-    tables, n, n_slots = _region_tables(S, slot_coords), S.n, len(slot_coords)
-    rows = _scan(tables, n, n_slots)
-    # a member tight on exactly one wall is strict on all the others
-    once, twice = [0] * len(rows), [0] * len(rows)
-    for bounds, eq in _walls(tables, n, n_slots):
-        for h, (m, b) in enumerate(zip(rows, bounds)):
-            t = m & eq.get(b, 0)
-            twice[h] |= once[h] & t
-            once[h] |= t
-    alone = [m & ~t for m, t in zip(rows, twice)]
-    return list(enumerate(_first_tight(alone, tables, n, n_slots)))

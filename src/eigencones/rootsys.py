@@ -304,9 +304,10 @@ class SubsystemEmbedding:
     members[i] holds the positions in ambient.root_alpha of the pairwise
     orthogonal positive roots whose reflections multiply to the Weyl image
     of the i-th sub generator: one root, or a folded orbit.  The i-th image
-    direction is their average.  The images' Gram matrix is gram_scale
-    times the sub's: 1 (isometric) except where a sub long root lands on an
-    ambient short one, 1/2 for b-in-b with s = 1 and d-chain with r = 3.
+    direction is their average.  The images' Gram matrix is a positive
+    multiple of the sub's: equal to it (isometric) except where a sub long
+    root lands on an ambient short one, half of it for b-in-b with s = 1
+    and d-chain with r = 3.
     """
 
     case: str
@@ -314,8 +315,6 @@ class SubsystemEmbedding:
     sub: RootSystem
     members: tuple
     parabolic_map: tuple            # pairs (sub node, ambient node), 1-based
-    gram_scale: Fraction
-    stage_members: tuple = ()       # (label, positions) of intermediate subsystems
 
     def matched_parabolic(self, q):
         for a, b in self.parabolic_map:
@@ -339,14 +338,11 @@ def _gram(R, rows):
     return [[Fraction(2 * form(u, v)) / form(theta, theta) for v in rows] for u in rows]
 
 
-def _make_embedding(case, ambient, sub, orbits, parabolic_map, stages=()):
+def _make_embedding(case, ambient, sub, orbits, parabolic_map):
     """Check and store an embedding whose orbits are simple-root rows."""
     rows = ambient.root_alpha
     try:
         members = tuple(tuple(rows.index(a) for a in orbit) for orbit in orbits)
-        stage_members = tuple(
-            (label, tuple(rows.index(a) for a in roots)) for label, roots in stages
-        )
     except ValueError:
         raise ConfigurationError(f"{case}: a member is not an ambient positive root") from None
     fw, coroot = ambient.root_fw, ambient.root_coroot
@@ -381,8 +377,6 @@ def _make_embedding(case, ambient, sub, orbits, parabolic_map, stages=()):
         sub=sub,
         members=members,
         parabolic_map=tuple(parabolic_map),
-        gram_scale=scale,
-        stage_members=stage_members,
     )
 
 
@@ -451,10 +445,7 @@ def _build_g2_in_f4():
     d4 = b4[:3] + ((0, 1, 2, 0),)
     # triality permutes the three outer nodes of D4; the center is fixed
     orbits = [(d4[0], d4[2], d4[3]), (d4[1],)]  # G2: node 1 short (folded), node 2 long
-    return _make_embedding(
-        "g2-in-f4", amb, sub, orbits, [(1, 4), (2, 1)],
-        stages=(("B4", b4), ("D4", d4)),
-    )
+    return _make_embedding("g2-in-f4", amb, sub, orbits, [(1, 4), (2, 1)])
 
 
 def restrict_weight_via_embedding(E, lam):
@@ -477,7 +468,7 @@ def embed_weight(E, mu):
     mu's coordinates over the sub simple roots become the coefficients of
     the image directions.  The images reproduce the sub's Cartan integers
     (_make_embedding checks it), so restricting gives mu back in every
-    case, conformal (gram_scale != 1) ones included.
+    case, the conformal ones that are not isometric included.
     """
     if mu.root_system.label != E.sub.label:
         raise UsageError("weight is not over the sub root system")

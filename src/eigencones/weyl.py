@@ -90,6 +90,24 @@ class WeylElement:
             self._heights = _height_row(_ctx(self.root_system), self.matrix)
         return self._heights
 
+    def _times_simple(self, i):
+        """w s_i (1-based i) without a full product.
+
+        Only column i of the matrix changes, to w applied to column i of
+        s_i, and only entry i of the height row, which drops by the height
+        row's value on alpha_i.
+        """
+        R = self.root_system
+        if not 1 <= i <= R.rank:
+            raise UsageError(f"simple reflection index {i} out of range")
+        k = i - 1
+        col = tuple(row[k] for row in _ctx(R).refl[k])
+        out = WeylElement(R, tuple(
+            row[:k] + (sum(map(mul, row, col)),) + row[k + 1:] for row in self.matrix))
+        h = self._height_row()
+        out._heights = h[:k] + (h[k] - sum(map(mul, h, R.cartan_matrix[k])),) + h[k + 1:]
+        return out
+
     def __repr__(self):
         return f"WeylElement({self.root_system.label}, {word_str(self)})"
 
@@ -141,15 +159,14 @@ def _is_positive(heights, root_fw):
 
 def _canonical_word(R, matrix):
     """Reduced word by repeatedly stripping the smallest right descent."""
-    ctx = _ctx(R)
+    id_matrix = _ctx(R).id_matrix
     word = []
-    m = matrix
-    while m != ctx.id_matrix:
-        heights = _height_row(ctx, m)
-        for i in range(R.rank):
-            if not _is_positive(heights, R.cartan_matrix[i]):
-                word.append(i + 1)
-                m = _mat_mul_int(m, ctx.refl[i])
+    w = WeylElement(R, matrix)
+    while w.matrix != id_matrix:
+        for i in range(1, R.rank + 1):
+            if not w.sends_positive(i):
+                word.append(i)
+                w = w._times_simple(i)
                 break
         else:
             raise VerificationError("matrix is not a Weyl group element")
@@ -190,7 +207,7 @@ def word_to_element(R, word):
         word = [int(ch) for ch in word]
     w = identity(R)
     for i in word:
-        w = w * simple_reflection(R, i)
+        w = w._times_simple(i)
     return w
 
 
@@ -235,7 +252,7 @@ def longest_element(R):
     while True:
         for i in range(1, R.rank + 1):
             if w.sends_positive(i):
-                w = w * simple_reflection(R, i)
+                w = w._times_simple(i)
                 break
         else:
             return w
@@ -281,7 +298,7 @@ def minimal_rep(w, P):
     while True:
         for j in P.levi_simple:
             if not w.sends_positive(j):
-                w = w * simple_reflection(w.root_system, j)
+                w = w._times_simple(j)
                 break
         else:
             return w

@@ -3,6 +3,8 @@
 import itertools
 import json
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -12,27 +14,23 @@ from hypothesis import strategies as st
 from eigencones.cones import (
     GRID_CAP,
     GRID_TOP,
-    IneqSystem,
     _grid_scan,
-    facet_witnesses,
-    feasible_on_grid,
     generate_inequalities,
     grid_coords,
     include_weight_BC,
     membership,
     project_weight_BC,
     projection_step_invariance,
-    regions_agree_on_grid,
     system_from_json,
     verify_projection,
     verify_subeigencone,
 )
 from eigencones.errors import ResourceCapError, UsageError
 from eigencones.rootsys import Weight, build_root_system, weight_coords
+from cone_lp import certified_implication
 from epsilon import ambient
 
 GOLDEN = Path(__file__).parent / "golden"
-HALF_STEPS = [Fraction(k, 2) for k in range(5)]   # 0, 1/2, ..., 2
 
 
 def test_a1_triangle_system():
@@ -134,6 +132,17 @@ def test_golden_systems(name, kind, rank, count):
         regenerated.dumps()
 
 
+@lru_cache(maxsize=None)
+def walls(kind, rank, tier):
+    """The tier's n = 3 walls as flat normal rows."""
+    S = generate_inequalities(build_root_system(kind, rank), 3, tier)
+    return tuple(q.key() for q in S.inequalities)
+
+
+# the certified cone checks run on these; C3 and B3 pass too, in seconds each
+EXACT_GROUPS = [("C", 2), ("B", 2), ("G2", 2), ("A", 2), ("A", 3)]
+
+
 def test_sp4_so5_systems_match_under_identification():
     # (a_1, a_2)_C <-> (a_1, 2 a_2)_B identifies the two weight lattices
     # epsilon-wise; the two cones must agree point by point
@@ -144,38 +153,39 @@ def test_sp4_so5_systems_match_under_identification():
         c_side = membership(list(combo), SC)[0]
         b_side = membership([(a, 2 * b) for a, b in combo], SB)[0]
         assert c_side == b_side
+    # and exactly, as cones: a B normal u reads u_1 a_1 + 2 u_2 a_2 on C
+    # coordinates, and twice a C normal v reads 2 v_1 b_1 + v_2 b_2 on B ones
+    c_walls, b_walls = walls("C", 2, "levi"), walls("B", 2, "levi")
+    for q in b_walls:
+        as_c = tuple(x * (1 + k % 2) for k, x in enumerate(q))
+        assert certified_implication(c_walls, as_c)
+    for q in c_walls:
+        as_b = tuple(x * (2 - k % 2) for k, x in enumerate(q))
+        assert certified_implication(b_walls, as_b)
 
 
 def test_region_equality_nonzero_vs_levi():
-    # Thm 2.2 and Thm 2.5 cut out the same cone
-    for kind, rank in [("C", 2), ("G2", 2)]:
-        R = build_root_system(kind, rank)
-        S1 = generate_inequalities(R, 3, "nonzero")
-        S2 = generate_inequalities(R, 3, "levi")
-        assert len(S2.inequalities) <= len(S1.inequalities)
-        assert regions_agree_on_grid(S1, S2, grid_coords(rank, HALF_STEPS))
+    # Thm 2.2 and Thm 2.5 cut out the same cone: the levi walls are among
+    # the nonzero ones, and with dominance they imply every nonzero wall
+    for kind, rank in EXACT_GROUPS:
+        levi, nonzero = walls(kind, rank, "levi"), walls(kind, rank, "nonzero")
+        assert set(levi) <= set(nonzero)
+        for q in nonzero:
+            assert certified_implication(levi, q), (kind, rank, q)
 
 
-def test_facet_witnesses_sp4():
-    S = generate_inequalities(build_root_system("C", 2), 3, "levi")
-    grid = grid_coords(2, HALF_STEPS)
-    found = facet_witnesses(S, grid)
-    assert len(found) == len(S.inequalities)
-    misses = [qi for qi, w in found if w is None]
-    # irredundancy: every wall is exposed already at this resolution
-    assert misses == []
-
-
-def test_feasible_on_grid_contains_origin():
-    S = generate_inequalities(build_root_system("B", 2), 3, "levi")
-    grid = [(0, 0), (1, 0), (0, 1)]
-    feas = feasible_on_grid(S, grid)
-    assert (0, 0, 0) in feas
+def test_levi_walls_are_facets():
+    # irredundancy: each levi wall has a dominant point that keeps every
+    # other wall and breaks it, so no wall follows from the others
+    for kind, rank in EXACT_GROUPS:
+        levi = walls(kind, rank, "levi")
+        for i, q in enumerate(levi):
+            assert not certified_implication(levi[:i] + levi[i + 1:], q), (kind, rank, q)
 
 
 def test_grid_coords_first_coordinate_fastest():
     assert grid_coords(2, range(2)) == [(0, 0), (1, 0), (0, 1), (1, 1)]
-    assert grid_coords(0, HALF_STEPS) == [()]
+    assert grid_coords(0, range(5)) == [()]
 
 
 # -- the grid kernel against plain itertools loops ---------------------------
@@ -227,62 +237,6 @@ def scan_inputs(draw):
 @settings(max_examples=300, deadline=None)
 def test_grid_scan_matches_reference(args):
     assert _grid_scan(*args) == reference_grid_scan(*args)
-
-
-def brute_force_members(S, grid):
-    """Grid member combo -> per-inequality values, in itertools order.
-
-    The half-integer grid is doubled to integers, which scales every value
-    by 2 and so keeps every sign.
-    """
-    doubled = [tuple(int(2 * x) for x in c) for c in grid]
-    values = [
-        [[sum(a * b for a, b in zip(slot, c)) for c in doubled]
-         for slot in q.normals]
-        for q in S.inequalities
-    ]
-    members = {}
-    for combo in itertools.product(range(len(grid)), repeat=S.n):
-        vals = [sum(t[i][k] for i, k in enumerate(combo)) for t in values]
-        if all(v <= 0 for v in vals):
-            members[combo] = vals
-    return members
-
-
-# n = 2 keeps the last slot alone as the tail; n = 3 and n = 4 fold the last
-# two slots into one bitset, and n = 4 has a two-slot head as well
-@pytest.mark.parametrize("kind,n,steps", [
-    pytest.param(kind, n, steps, id=f"{kind}{label}")
-    for kind in ("C", "G2")
-    for n, steps, label in ((3, HALF_STEPS, ""), (2, HALF_STEPS, "-n2"),
-                            (4, HALF_STEPS[:3], "-n4"))
-])
-def test_region_helpers_match_brute_force(kind, n, steps):
-    R = build_root_system(kind, 2)
-    grid = grid_coords(2, steps)
-    levi = generate_inequalities(R, n, "levi")
-    nonzero = generate_inequalities(R, n, "nonzero")
-    fewer = IneqSystem(R, n, "levi", levi.inequalities[1:])
-    members = {S: brute_force_members(S, grid) for S in (levi, nonzero, fewer)}
-
-    assert feasible_on_grid(levi, grid) == set(members[levi])
-    for S in (nonzero, fewer):
-        expected = members[S].keys() == members[levi].keys()
-        assert regions_agree_on_grid(S, levi, grid) is expected
-    # dropping a wall of an irredundant system widens the grid region; at
-    # n = 2 the cone is not full-dimensional, so its walls need not be facets
-    if n >= 3:
-        assert not regions_agree_on_grid(fewer, levi, grid)
-
-    expected = [
-        (qi, next(
-            (c for c, vals in members[levi].items()
-             if vals[qi] == 0 and sum(v == 0 for v in vals) == 1),
-            None,
-        ))
-        for qi in range(len(levi.inequalities))
-    ]
-    assert facet_witnesses(levi, grid) == expected
 
 
 # -- projection --------------------------------------------------------------
@@ -380,6 +334,22 @@ def test_projection_linear():
     lhs = project_weight_BC(u + v, 2)
     rhs = project_weight_BC(u, 2) + project_weight_BC(v, 2)
     assert lhs.coords == rhs.coords
+
+
+@pytest.mark.parametrize("kind,r,s", [
+    (kind, r, s) for kind in "CB" for r, s in ((2, 1), (3, 1), (3, 2))
+])
+def test_projection_theorem_as_a_cone_inclusion(kind, r, s):
+    # projecting the unit weights gives the projection's matrix; each rank-s
+    # levi wall pulled back through it follows from the rank-r levi walls,
+    # so the ambient cone projects into the sub cone
+    amb = build_root_system(kind, r)
+    columns = [project_weight_BC(Weight(amb, tuple(int(t == j) for t in range(r))), s).coords
+               for j in range(r)]
+    sub = generate_inequalities(build_root_system(kind, s), 3, "levi")
+    for q in sub.inequalities:
+        pulled = tuple(sum(map(mul, slot, col)) for slot in q.normals for col in columns)
+        assert certified_implication(walls(kind, r, "levi"), pulled), q.normals
 
 
 def test_projection_step_invariance_counts():

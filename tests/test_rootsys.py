@@ -30,8 +30,8 @@ from epsilon import alpha_coords, ambient, fw_coords, is_positive_root, root_ind
 
 
 def epsilon_views(E):
-    """E's orbits, images and stages in epsilon coordinates, and its images
-    over the ambient simple roots; each image is its orbit's average."""
+    """E's orbits and images in epsilon coordinates, and its images over
+    the ambient simple roots; each image is its orbit's average."""
     eps = E.ambient.positive_roots
 
     def vectors(positions):
@@ -45,7 +45,6 @@ def epsilon_views(E):
         orbits=tuple(map(vectors, E.members)),
         simple_images=tuple(average(eps, o) for o in E.members),
         image_alpha=tuple(average(E.ambient.root_alpha, o) for o in E.members),
-        stages=tuple((label, vectors(ks)) for label, ks in E.stage_members),
     )
 
 
@@ -330,10 +329,15 @@ def test_sl2_in_g2_image():
 def test_g2_in_f4_stages():
     E = build_embedding("g2-in-f4")
     assert E.ambient.kind == "F4" and E.sub.kind == "G2"
-    # composite of F4 > B4 > D4 > G2; the B4 stage starts at a2+2a3+2a4
-    label, roots = epsilon_views(E).stages[0]
-    assert label == "B4"
-    assert alpha_coords(E.ambient, roots[0]) == (0, 1, 2, 2)
+    # composite of F4 > B4 > D4 > G2: triality folds the three outer nodes
+    # of D4, the first of which starts the B4 stage at a2+2a3+2a4, and
+    # fixes the center a1, which each outer node meets in a single bond
+    outer, (center,) = epsilon_views(E).orbits
+    assert [alpha_coords(E.ambient, v) for v in outer] == [
+        (0, 1, 2, 2), (0, 1, 0, 0), (0, 1, 2, 0)]
+    assert alpha_coords(E.ambient, center) == (1, 0, 0, 0)
+    for v in outer:
+        assert E.ambient.coroot_pairing(v, center) == E.ambient.coroot_pairing(center, v) == -1
     assert sub_gram_matches(E) == 1
 
 
@@ -432,7 +436,7 @@ def _eps(n, i, coeff=1):
 def reference_embedding(case, r=None, s=None):
     """The epsilon-coordinate construction the int embeddings replaced: orbit
     members as epsilon vectors, images as their averages, Cartan integers
-    and gram_scale from Euclidean dot products and the Killing form, and the
+    and the Gram scale from Euclidean dot products and the Killing form, and the
     generator images, restriction and section through epsilon pairings."""
     if case in ("c-in-c", "b-in-b"):
         kind = case[0].upper()
@@ -440,24 +444,21 @@ def reference_embedding(case, r=None, s=None):
         top = _eps(r, s, 2) if kind == "C" else _eps(r, s)
         orbits = [(amb.simple_roots[i],) for i in range(s - 1)] + [(top,)]
         pmap = [(k, k) for k in range(1, s + 1)]
-        stages = ()
     elif case == "d-chain":
         amb, sub = build_root_system("D", r), build_root_system("B", r - 2)
         lo, hi = _eps(r, r - 2), _eps(r, r)
         orbits = [(amb.simple_roots[i],) for i in range(r - 3)]
         orbits.append((vadd(lo, vscale(-1, hi)), vadd(lo, hi)))
         pmap = [(k, k) for k in range(1, r - 1)]
-        stages = ()
     elif case == "sl2-in-g2":
         amb, sub = build_root_system("G2", 2), build_root_system("A", 1)
-        orbits, pmap, stages = [(amb.highest_root,)], [(1, 2)], ()
+        orbits, pmap = [(amb.highest_root,)], [(1, 2)]
     else:
         amb, sub = build_root_system("F4", 4), build_root_system("G2", 2)
         a = amb.simple_roots
         b4 = (vadd(a[1], vadd(vscale(2, a[2]), vscale(2, a[3]))), a[0], a[1], a[2])
         d4 = (b4[0], b4[1], b4[2], vadd(b4[2], vscale(2, b4[3])))
         orbits, pmap = [(d4[0], d4[2], d4[3]), (d4[1],)], [(1, 4), (2, 1)]
-        stages = (("B4", b4), ("D4", d4))
     images = tuple(vscale(Fraction(1, len(o)), reduce(vadd, o)) for o in orbits)
     for i, bi in enumerate(images):
         for j, bj in enumerate(images):
@@ -497,7 +498,6 @@ def reference_embedding(case, r=None, s=None):
         image_alpha=tuple(alpha_coords(amb, b) for b in images),
         gram_scale=scale,
         parabolic_map=tuple(pmap),
-        stages=stages,
         generators=tuple(generator(o) for o in orbits),
         restrict=restrict,
         section=section,
@@ -518,14 +518,13 @@ def test_int_embedding_matches_the_epsilon_construction(case, r, s):
     views = epsilon_views(E)
     assert views.orbits == ref.orbits
     assert views.simple_images == ref.simple_images
-    assert views.stages == ref.stages
     assert views.image_alpha == ref.image_alpha
-    assert (E.gram_scale, E.parabolic_map) == (ref.gram_scale, ref.parabolic_map)
+    assert E.parabolic_map == ref.parabolic_map
     assert tuple(g.matrix for g in _generator_images(E)) == ref.generators
     for coords in product(range(3), repeat=E.ambient.rank):
         lam = Weight(E.ambient, coords)
         assert restrict_weight_via_embedding(E, lam).coords == ref.restrict(lam)
-    if E.gram_scale == 1:
+    if ref.gram_scale == 1:
         for coords in product(range(3), repeat=E.sub.rank):
             mu = Weight(E.sub, coords)
             assert embed_weight(E, mu).coords == ref.section(mu)
@@ -573,7 +572,7 @@ def test_embed_then_restrict_is_identity():
 @pytest.mark.parametrize("case,r,s", EMBEDDING_CASES)
 def test_restrict_after_embed_is_identity(case, r, s):
     # the images reproduce the sub's Cartan integers, so embed_weight is a
-    # section of the restriction in conformal cases (gram_scale != 1) too
+    # section of the restriction in conformal cases that are not isometric too
     E = build_embedding(case, r=r, s=s)
     for coords in product(range(3), repeat=E.sub.rank):
         mu = Weight(E.sub, coords)

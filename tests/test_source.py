@@ -1,9 +1,10 @@
-"""Source-level rules for the package: no bare asserts, no numpy, no
-Fraction on the localization, intersection-number, theta, index-set and
-grid-scan hot paths nor anywhere in schubert and isogr, no epsilon
-arithmetic in the embedding layer, the B/C projection or the isotropic
-Grassmannian checks, no epsilon data in weyl, Weyl's private context kept
-inside weyl, and no def that nothing the package runs reaches."""
+"""Source-level rules for the package: no bare asserts and no __debug__,
+no numpy, no Fraction on the localization, intersection-number, theta,
+index-set and grid-scan hot paths nor anywhere in schubert and isogr, no
+epsilon arithmetic in the embedding layer, the B/C projection or the
+isotropic Grassmannian checks, no epsilon data in weyl, Weyl's private
+context kept inside weyl, and no def that nothing the package runs
+reaches."""
 
 import ast
 from pathlib import Path
@@ -21,10 +22,12 @@ def _is_numpy(name):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_assert_and_no_numpy(path):
-    # python -O strips assert statements, so a self-check must raise instead
+    # python -O strips assert statements and reads __debug__ as False, so a
+    # self-check must raise a VerificationError instead
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         where = f"{path.name}:{getattr(node, 'lineno', '?')}"
         assert not isinstance(node, ast.Assert), f"bare assert at {where}"
+        assert getattr(node, "id", None) != "__debug__", f"__debug__ at {where}"
         if isinstance(node, ast.Import):
             assert not any(_is_numpy(a.name) for a in node.names), where
         if isinstance(node, ast.ImportFrom):
@@ -155,13 +158,9 @@ KEPT_UNREACHED = {
     # the classical Chevalley rule over FlagVariety.covers, which the
     # localization recursion also reads; the tests check both against it
     ("schubert", "chevalley_multiply"): "Chevalley rule over the covers",
-    # inequality-system I/O and grid helpers, until a membership --system
-    # option or an exact cone calculus gives them a caller or a replacement
+    # inequality-system I/O, until a membership --system option reads it
     ("cones", "system_from_json"): "waits on membership --system FILE",
     ("cones", "IneqSystem.dumps"): "waits on membership --system FILE",
-    ("cones", "feasible_on_grid"): "waits on the exact cone calculus",
-    ("cones", "regions_agree_on_grid"): "waits on the exact cone calculus",
-    ("cones", "facet_witnesses"): "waits on the exact cone calculus",
 }
 
 

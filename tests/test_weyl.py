@@ -157,6 +157,42 @@ def test_canonical_word_rejects_a_non_weyl_matrix():
         _canonical_word(R, ((2, 0), (0, 1)))
 
 
+def reference_word(w):
+    """The canonical word by full matrix products: strip the smallest right
+    descent until the identity is left."""
+    R, word = w.root_system, []
+    while w != identity(R):
+        i = next(i for i in range(1, R.rank + 1) if not w.sends_positive(i))
+        word.append(i)
+        w = w * simple_reflection(R, i)
+    return tuple(reversed(word))
+
+
+@pytest.mark.parametrize("kind,rank", [("C", 5), ("F4", 4)])
+def test_words_match_the_full_product_reference(kind, rank):
+    R = build_root_system(kind, rank)
+    for p in range(1, rank + 1):
+        P = ParabolicSpec(R, p)
+        for w in minimal_coset_reps(R, P):
+            assert w.word == reference_word(w)
+            u = word_to_element(R, w.word)
+            full = identity(R)
+            for i in w.word:
+                full = full * simple_reflection(R, i)
+            assert u == full == w
+            # the height row stepped along the word is the one computed afresh
+            assert u._height_row() == full._height_row()
+            for j in P.levi_simple:
+                assert minimal_rep(w * simple_reflection(R, j), P) == w
+
+
+def test_word_letters_check_the_index():
+    R = build_root_system("C", 3)
+    for word in ("0", "4", "120", [1, 0]):
+        with pytest.raises(UsageError, match="out of range"):
+            word_to_element(R, word)
+
+
 def test_sends_positive_checks_the_index():
     R = build_root_system("C", 3)
     w = simple_reflection(R, 3)
