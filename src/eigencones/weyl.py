@@ -5,6 +5,12 @@ in fundamental-weight coordinates; reduced words are witnesses recovered by
 descent stripping (smallest index first), so the digit strings we print are
 canonical but element comparison never goes through words.
 
+W^P is one cached orbit table per parabolic: w -> w omega_P is a bijection
+from W^P onto the orbit of omega_P, and s_i w is the next-longer
+representative exactly when <w omega_P, alpha_i^vee> > 0 (Bourbaki VI.1).
+The minimal representative of w is the entry at w omega_P (column P of its
+matrix); the dual of a representative is the entry at w0 w omega_P.
+
 Element operations work on Python ints.  A root is positive exactly when
 its height is, so one int row per element (a positive multiple of the
 height functional pulled back through the matrix, applied to a root's
@@ -269,12 +275,6 @@ class ParabolicSpec:
         self.root_system = root_system
         self.excluded = excluded
 
-    @property
-    def levi_simple(self):
-        return tuple(
-            i for i in range(1, self.root_system.rank + 1) if i != self.excluded
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, ParabolicSpec)
@@ -289,50 +289,48 @@ class ParabolicSpec:
         return f"ParabolicSpec({self.root_system.label}, P{self.excluded})"
 
 
-def is_minimal_rep(w, P):
-    return all(w.sends_positive(j) for j in P.levi_simple)
+@lru_cache(maxsize=None)
+def _orbit_table(R, excluded):
+    """W^P sorted by (length, word), and the dict from w omega_P to w."""
+    start = tuple(int(j == excluded - 1) for j in range(R.rank))
+    table = {start: identity(R)}
+    points = [start]
+    for lam in points:  # grows as new points are found
+        w = table[lam]
+        for i, c in enumerate(lam):
+            if c > 0:  # alpha_i is row i of the Cartan matrix
+                mu = tuple(x - c * a for x, a in zip(lam, R.cartan_matrix[i]))
+                if mu not in table:
+                    u = simple_reflection(R, i + 1) * w
+                    table[mu] = WeylElement(R, u.matrix, w.length + 1)
+                    points.append(mu)
+    return tuple(sorted(table.values(), key=lambda w: (w.length, w.word))), table
+
+
+def minimal_coset_reps(R, P):
+    return _orbit_table(R, P.excluded)[0]
+
+
+def _orbit_point(w, P):
+    """The orbit table of P and w omega_P, which is column P of w."""
+    if P.root_system is not w.root_system:
+        raise UsageError(f"{P!r} is not a parabolic of {w.root_system.label}")
+    table = _orbit_table(w.root_system, P.excluded)[1]
+    return table, tuple(row[P.excluded - 1] for row in w.matrix)
 
 
 def minimal_rep(w, P):
     """The minimal representative of the coset w W_P."""
-    while True:
-        for j in P.levi_simple:
-            if not w.sends_positive(j):
-                w = w._times_simple(j)
-                break
-        else:
-            return w
-
-
-@lru_cache(maxsize=None)
-def _coset_reps_cached(R, excluded):
-    P = ParabolicSpec(R, excluded)
-    # W^P is closed under suffixes of reduced words, so every minimal
-    # representative of length l+1 is s_i * (minimal rep of length l) for
-    # some simple i; a left-multiplication BFS over minimal reps is complete.
-    reps = {identity(R)}
-    frontier = list(reps)
-    while frontier:
-        new = []
-        for w in frontier:
-            for i in range(1, R.rank + 1):
-                u = simple_reflection(R, i) * w
-                if u.length == w.length + 1 and is_minimal_rep(u, P) and u not in reps:
-                    reps.add(u)
-                    new.append(u)
-        frontier = new
-    return tuple(sorted(reps, key=lambda w: (w.length, w.word)))
-
-
-def minimal_coset_reps(R, P):
-    return _coset_reps_cached(R, P.excluded)
+    table, point = _orbit_point(w, P)
+    return table[point]
 
 
 def dual_rep(w, P):
     """Minimal representative of w0 w W_P; pairs complementary dimensions."""
-    if not is_minimal_rep(w, P):
+    table, point = _orbit_point(w, P)
+    if table[point] != w:
         raise UsageError("dual_rep requires a minimal coset representative")
-    return minimal_rep(longest_element(w.root_system) * w, P)
+    return table[longest_element(w.root_system).apply_fw(point)]
 
 
 # -- embeddings -------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -332,20 +333,14 @@ def test_verify_thm_proj(capsys):
     assert doc["report"]["violations"] == []
 
 
-# the benchmark pins the n = 3 reports; its file is read, never written here
-BENCH_DIGESTS = json.loads(
-    (Path(__file__).parents[1] / "bench" / "expected.json").read_text())
 # recorded from the row-by-row grid kernel that the one-inequality-at-a-time
 # scan replaced (about 25 s there; 15,773,648 grid members)
 THM_PROJ_N4_SHA256 = "0f49ae5ef267e0cd3abba7f90ea3d2b12893272f6d19d3a49d58c7ea20af273e"
 
 
 @pytest.mark.parametrize("argv,sha256", [
-    (("--r", "3", "--s", "2"), BENCH_DIGESTS["proj-C-r3-s2"]["sha256"]),
-    (("--r", "3", "--s", "1", "--group", "B"),
-     BENCH_DIGESTS["proj-B-r3-s1"]["sha256"]),
     (("--r", "3", "--s", "2", "--n", "4"), THM_PROJ_N4_SHA256),
-], ids=["proj-C-r3-s2", "proj-B-r3-s1", "C-r3-s2-n4"])
+], ids=["C-r3-s2-n4"])
 def test_verify_thm_proj_reports_are_pinned(argv, sha256, capsys):
     code, out, _ = run(capsys, "verify", "thm-proj", *argv)
     assert code == 0
@@ -495,19 +490,48 @@ def test_output_deterministic(capsys):
     assert a == b
 
 
+# the benchmark's files are read, never written here
+BENCH = Path(__file__).parents[1] / "bench"
+
+
+def _bench_cli_jobs():
+    """name -> argv of every CLI job of bench/workloads.py, in workload order."""
+    workloads = runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
+    return {job.name: job.argv for jobs in workloads.values() for job in jobs if job.argv}
+
+
+BENCH_DIGESTS = json.loads((BENCH / "expected.json").read_text())
+BENCH_CLI_JOBS = _bench_cli_jobs()
+EMBEDDING_JOBS = ("tables-g2f4", "main-c-in-c-r3-s2", "main-g2-in-f4")
+
+
+# the three embedding reports come first, so they keep their test ids; then
+# every other job in workload order
 @pytest.mark.parametrize("job,argv", [
-    ("tables-g2f4", ("tables", "g2f4")),
-    ("main-c-in-c-r3-s2",
-     ("verify", "thm-main", "--case", "c-in-c", "--r", "3", "--s", "2")),
-    ("main-g2-in-f4", ("verify", "thm-main", "--case", "g2-in-f4")),
+    *((job, BENCH_CLI_JOBS[job]) for job in EMBEDDING_JOBS),
+    *((job, argv) for job, argv in BENCH_CLI_JOBS.items() if job not in EMBEDDING_JOBS),
 ])
-def test_embedding_reports_match_the_benchmark_digests(job, argv, capsys):
-    # the benchmark pins these reports byte for byte; read, never written here
-    expected = Path(__file__).parents[1] / "bench" / "expected.json"
-    want = json.loads(expected.read_text())[job]
+def test_embedding_reports_match_the_benchmark_digests(job, argv, tmp_path, monkeypatch,
+                                                       capsys):
+    # every CLI job the benchmark pins, byte for byte; the multiply jobs'
+    # relative --cache-dir lands in tmp_path
+    monkeypatch.chdir(tmp_path)
+    want = BENCH_DIGESTS[job]
     code, out, _ = run(capsys, *argv)
-    assert code == want["exit"]
+    assert (code, len(out.encode())) == (want["exit"], want["bytes"])
     assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
+
+
+@pytest.mark.parametrize("group,sha256,size", [
+    ("C9", "1e8c053797440f5ffa7a151353197b43accb95b71c22b440b6f503397247abce", 237_960),
+    ("D9", "3d58e3d9e59e37eadd2bc166efb6b5eec379bd1b15bfc559ad48a07536e5a754", 229_885),
+], ids=["C9", "D9"])
+def test_rank_9_coset_tables_are_pinned(group, sha256, size, capsys):
+    # recorded from the descent-walk BFS that the orbit table replaced;
+    # 2,016 representatives each, with their lengths and duals
+    code, out, _ = run(capsys, "cosets", "--group", group, "--parabolic", "4")
+    assert (code, len(out.encode())) == (0, size)
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_failed_self_check_exits_1_with_one_line(monkeypatch, capsys):

@@ -31,6 +31,7 @@ from eigencones.rootsys import build_root_system
 from eigencones.schubert import flag_variety, point_product_tuples
 from eigencones.weyl import WeylElement, identity, word_str
 from epsilon import ambient, apply_eps
+from test_weyl import is_minimal_rep
 
 
 def FC(r, k):
@@ -184,8 +185,6 @@ def test_expected_dim_lemmas_exhaustive(r, s, k):
 def test_expected_dim_rejects_foreign_words():
     FM = FC(2, 1)
     w0 = FM.basis[-1] * FM.basis[1]  # generally not a minimal rep
-    from eigencones.weyl import is_minimal_rep
-
     if not is_minimal_rep(w0, FM.parabolic):
         with pytest.raises(UsageError):
             expected_dim_zero_check((w0,), 3, 2, 1)

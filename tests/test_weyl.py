@@ -11,13 +11,13 @@ from eigencones.errors import ResourceCapError, UsageError, VerificationError
 from eigencones.rootsys import build_embedding, build_root_system
 from eigencones.weyl import (
     ParabolicSpec,
+    WeylElement,
     _canonical_word,
     coset_table,
     dual_rep,
     embed_element,
     generate_weyl_group,
     identity,
-    is_minimal_rep,
     longest_element,
     minimal_coset_reps,
     minimal_rep,
@@ -28,6 +28,29 @@ from eigencones.weyl import (
 )
 
 from epsilon import alpha_coords, apply_eps, fw_coords, is_positive_root
+
+
+# -- the descent definition of W^P, the reference for the orbit table ---------
+
+
+def levi_simple(P):
+    return tuple(i for i in range(1, P.root_system.rank + 1) if i != P.excluded)
+
+
+def is_minimal_rep(w, P):
+    """w is in W^P: it sends every Levi simple root to a positive root."""
+    return all(w.sends_positive(j) for j in levi_simple(P))
+
+
+def descent_walk(w, P):
+    """The minimal representative of w W_P by stripping Levi right descents."""
+    while True:
+        for j in levi_simple(P):
+            if not w.sends_positive(j):
+                w = w._times_simple(j)
+                break
+        else:
+            return w
 
 
 def poincare_counts(elements):
@@ -182,7 +205,7 @@ def test_words_match_the_full_product_reference(kind, rank):
             assert u == full == w
             # the height row stepped along the word is the one computed afresh
             assert u._height_row() == full._height_row()
-            for j in P.levi_simple:
+            for j in levi_simple(P):
                 assert minimal_rep(w * simple_reflection(R, j), P) == w
 
 
@@ -254,7 +277,7 @@ def test_minimal_rep_idempotent_and_criterion():
         assert minimal_rep(m, P) == m
         assert is_minimal_rep(m, P)
         # minimality criterion: m(alpha) > 0 for every Levi simple root
-        for i in P.levi_simple:
+        for i in levi_simple(P):
             assert is_positive_root(R, apply_eps(m, R.simple_roots[i - 1]))
 
 
@@ -296,6 +319,45 @@ def test_dual_rejects_non_minimal():
     if not is_minimal_rep(w0, P):
         with pytest.raises(UsageError):
             dual_rep(w0, P)
+
+
+ORBIT_CASES = [
+    (kind, rank, p)
+    for kind, ranks in (("A", (1, 2, 3, 4)), ("B", (2, 3, 4)), ("C", (2, 3, 4)),
+                        ("D", (4,)), ("G2", (2,)), ("F4", (4,)))
+    for rank in ranks
+    for p in range(1, rank + 1)
+]
+
+
+@pytest.mark.parametrize("kind,rank,p", ORBIT_CASES)
+def test_orbit_table_matches_the_descent_definition(kind, rank, p):
+    R = build_root_system(kind, rank)
+    P = ParabolicSpec(R, p)
+    W = generate_weyl_group(R)
+    reps = minimal_coset_reps(R, P)
+    assert len(set(reps)) == len(reps)
+    assert set(reps) == {w for w in W if is_minimal_rep(w, P)}
+    w0 = longest_element(R)
+    for w in reps:
+        # the length the BFS stored is the one computed afresh
+        assert w.length == WeylElement(R, w.matrix).length
+        assert dual_rep(w, P) == descent_walk(w0 * w, P)
+    for w in W:
+        assert minimal_rep(w, P) == descent_walk(w, P)
+
+
+def test_a_parabolic_of_another_root_system_is_refused():
+    C3, B3 = build_root_system("C", 3), build_root_system("B", 3)
+    w, P = word_to_element(C3, "2"), ParabolicSpec(B3, 2)
+    with pytest.raises(UsageError, match="not a parabolic of C3"):
+        minimal_rep(w, P)
+    with pytest.raises(UsageError, match="not a parabolic of C3"):
+        dual_rep(w, P)
+    E = build_embedding("c-in-c", r=3, s=2)
+    with pytest.raises(UsageError, match="not a parabolic of C3"):
+        embed_element(E, word_to_element(E.sub, "1"),
+                      minimize_into=ParabolicSpec(E.sub, 1))
 
 
 @given(st.lists(st.integers(1, 4), max_size=8), st.lists(st.integers(1, 4), max_size=8))
