@@ -19,7 +19,7 @@ _EXPORTS = {
                      "generate_weyl_group", "longest_element", "minimal_coset_reps",
                      "word_str", "word_to_element"), "weyl"),
     **dict.fromkeys(("CohomClass", "FlagVariety", "flag_variety",
-                     "point_product_tuples", "structure_constants"), "schubert"),
+                     "point_product_tuples"), "schubert"),
     **dict.fromkeys(("IndexSet", "dim_from_index", "lift_index", "orbit_dims",
                      "weyl_index_bijection"), "isogr"),
     **dict.fromkeys(("Inequality", "IneqSystem", "generate_inequalities",

@@ -1,6 +1,7 @@
-"""JSON-lines cache for structure constants.
+"""JSON-lines store that memoizes the cup products ``multiply`` is asked for.
 
-One file per keyed object, one record per line.  Records carry the cache
+One file per flag variety, one record per product asked for: a miss
+computes that one product and adds its record.  Records carry the cache
 version; stale-version, torn or malformed lines make the whole file a miss,
 and files are replaced atomically, so deleting or damaging a cache
 directory can never change a result, only a runtime.

@@ -126,7 +126,7 @@ def cmd_cosets(args):
 
 
 def cmd_multiply(args):
-    from .schubert import flag_variety, structure_constants
+    from .schubert import flag_variety
 
     R = _parse_group(args.group, args.rank)
     F = flag_variety(R, args.parabolic)
@@ -136,19 +136,18 @@ def cmd_multiply(args):
     u, v = (word_to_element(R, w.strip()) for w in words)
     if u not in F.index or v not in F.index:  # before the cache lookup
         raise UsageError(f"{F.label}: factors must be basis classes")
+    key, table = (word_str(u), word_str(v)), {}
     if args.cache_dir:
         from .cache import JsonlStore
 
         store = JsonlStore(args.cache_dir)
-        table = store.load_structure_constants(R.kind, R.rank, args.parabolic)
-        key = (word_str(u), word_str(v))
-        if table is None or key not in table:  # absent, stale or partial
-            table = structure_constants(F)
-            store.save_structure_constants(R.kind, R.rank, args.parabolic, table)
-        coeffs = table[key]
-    else:
+        table = store.load_structure_constants(R.kind, R.rank, args.parabolic) or {}
+    if key not in table:  # no store, or an absent, stale, torn or partial file
         prod = F.cup_product(u, v)
-        coeffs = {word_str(w): int(c) for w, c in prod.coeffs.items()}
+        table[key] = {word_str(w): int(c) for w, c in prod.coeffs.items()}
+        if args.cache_dir:
+            store.save_structure_constants(R.kind, R.rank, args.parabolic, table)
+    coeffs = table[key]
     csv_rows = [("word", "coefficient")] + sorted(coeffs.items())
     lines = [f"{word_str(u)} * {word_str(v)} over {F.label}"] + [
         f"  {c} {w}" for w, c in sorted(coeffs.items())
@@ -400,7 +399,8 @@ def build_parser():
     p = sub.add_parser("multiply", help="cup product of two basis classes")
     common(p, parabolic=True)
     p.add_argument("--words", required=True)
-    p.add_argument("--cache-dir")
+    p.add_argument("--cache-dir",
+                   help="directory that memoizes the products asked for")
     p.set_defaults(func=cmd_multiply)
 
     p = sub.add_parser("inequalities", help="eigencone inequality system")

@@ -294,18 +294,6 @@ def flag_variety(R, excluded):
     return FlagVariety(R, excluded)
 
 
-def structure_constants(F):
-    """Full table: (u, v) -> {w: integer coefficient}, words as digit strings."""
-    table = {}
-    for u in F.basis:
-        for v in F.basis:
-            prod = F.cup_product(u, v)
-            table[(word_str(u), word_str(v))] = {
-                word_str(w): c for w, c in prod.coeffs.items()
-            }
-    return table
-
-
 def chevalley_multiply(F, i, c: CohomClass):
     """Divisor times a class by the classical Chevalley rule.
 

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 import eigencones
 from eigencones.cache import JsonlStore
 from eigencones.cli import main
+from eigencones.rootsys import build_root_system
 from eigencones.schubert import FlagVariety, flag_variety
+from eigencones.weyl import word_str
 
 
 def run(capsys, *argv):
@@ -113,21 +115,74 @@ def test_multiply_cache_roundtrip(tmp_path, capsys):
     assert (code3, out3) == (code1, out1)
 
 
+def store_records(directory):
+    (path,) = directory.glob("*.jsonl")
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def test_multiply_stores_only_the_products_asked_for(tmp_path, capsys):
+    def multiply(words):
+        return run(capsys, "multiply", "--group", "C5", "--parabolic", "3",
+                   "--words", words, "--cache-dir", str(tmp_path))
+
+    assert multiply("3,23")[0] == 0
+    assert [(r["u"], r["v"]) for r in store_records(tmp_path)] == [("3", "23")]
+    assert multiply("3,3")[0] == 0
+    assert [(r["u"], r["v"]) for r in store_records(tmp_path)] == [("3", "23"), ("3", "3")]
+
+
+def test_multiply_answers_a_stored_product_without_computing_it(tmp_path, monkeypatch,
+                                                                  capsys):
+    args = ("multiply", "--group", "C3", "--parabolic", "2", "--words", "2,12",
+            "--cache-dir", str(tmp_path))
+    cold = run(capsys, *args)
+    assert cold[0] == 0
+
+    def fail(*args):
+        raise AssertionError("a stored product was computed again")
+
+    monkeypatch.setattr(FlagVariety, "cup_product", fail)
+    assert run(capsys, *args) == cold
+
+
+@pytest.mark.parametrize("kind,rank,p", [("G2", 2, 1), ("B", 3, 1), ("C", 3, 2)])
+def test_multiply_reports_match_with_and_without_the_store(kind, rank, p, tmp_path,
+                                                           capsys):
+    # every basis pair: without the flag, then a cold and a warm store lookup;
+    # the table format, as the json config echoes the flag
+    F = flag_variety(build_root_system(kind, rank), p)
+    for u in F.basis:
+        for v in F.basis:
+            argv = ("multiply", "--group", F.root_system.label, "--parabolic", str(p),
+                    "--words", f"{word_str(u)},{word_str(v)}", "--format", "table")
+            plain = run(capsys, *argv)
+            assert plain[0] == 0
+            assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == plain
+            assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == plain
+    assert len(store_records(tmp_path)) == len(F.basis) ** 2
+
+
 @pytest.mark.parametrize("damage", ["torn", "dropped", "not-utf8"])
 def test_multiply_cache_survives_a_partial_file(damage, tmp_path, capsys):
-    args = ("multiply", "--group", "G2", "--parabolic", "1",
-            "--words", "21,121", "--cache-dir", str(tmp_path))
-    cold = run(capsys, *args)
+    def multiply(words):
+        return run(capsys, "multiply", "--group", "G2", "--parabolic", "1",
+                   "--words", words, "--cache-dir", str(tmp_path))
+
+    # three records, with the requested pair last
+    for words in ("1,1", "1,21"):
+        assert multiply(words)[0] == 0
+    cold = multiply("21,121")
     assert cold[0] == 0
     path = next(tmp_path.glob("*.jsonl"))
     lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == 3
     if damage == "torn":   # cut mid-record, as an interrupted write leaves it
         path.write_text("".join(lines[:len(lines) // 2]) + lines[-1][:10])
     elif damage == "dropped":  # whole records lost, the requested pair among them
         path.write_text("".join(lines[:2]))
     else:
         path.write_bytes(b"\xff\xfe\n")
-    assert run(capsys, *args) == cold
+    assert multiply("21,121") == cold
     table = JsonlStore(tmp_path).load_structure_constants("G2", 2, 1)
     assert ("21", "121") in table
     assert list(tmp_path.iterdir()) == [path]

@@ -15,6 +15,7 @@ from eigencones.cones import (
     GRID_CAP,
     GRID_TOP,
     _grid_scan,
+    _raw_normals,
     generate_inequalities,
     grid_coords,
     include_weight_BC,
@@ -26,7 +27,9 @@ from eigencones.cones import (
     verify_subeigencone,
 )
 from eigencones.errors import ResourceCapError, UsageError
+from eigencones.linalg import dot
 from eigencones.rootsys import Weight, build_root_system, weight_coords
+from eigencones.schubert import flag_variety
 from cone_lp import certified_implication
 from epsilon import ambient
 
@@ -109,6 +112,24 @@ def test_normals_are_primitive():
             flat = [x for slot in q.normals for x in slot]
             assert gcd(*flat) == 1
             assert q.scale > 0
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 3), ("B", 3), ("C", 4), ("D", 4),
+                                       ("G2", 2), ("F4", 4)])
+def test_raw_normals_are_gram_rows_of_w_omega_p(kind, rank):
+    # <omega_P, w^-1 omega_j> = (w omega_P, omega_j): column P of w.matrix is
+    # w omega_P over fw coordinates, and the Killing form is one constant
+    # times the integer weight Gram matrix
+    R = build_root_system(kind, rank)
+    omega_1 = R.fundamental_weights[0]
+    c = R.killing_scale * dot(omega_1, omega_1) / R.weight_gram[0][0]
+    for p in range(1, rank + 1):
+        F = flag_variety(R, p)
+        for w in F.basis:
+            column = [row[p - 1] for row in w.matrix]
+            ints = tuple(sum(map(mul, column, g)) for g in R.weight_gram)
+            assert all(type(x) is int for x in ints)
+            assert _raw_normals(F, (w,))[0] == tuple(c * x for x in ints)
 
 
 def test_dedup_no_proportional_pairs():

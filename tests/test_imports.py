@@ -26,9 +26,9 @@ EXPORTS = [
     "include_weight_BC", "invariant_dim", "isogr", "lift_index", "linalg",
     "longest_element", "membership", "minimal_coset_reps", "oracle", "orbit_dims",
     "point_product_tuples", "project_weight_BC", "rootsys", "saturated_search",
-    "schubert", "structure_constants", "tensor_decompose", "verify_projection",
-    "verify_subeigencone", "weight_multiplicities", "weyl", "weyl_dim",
-    "weyl_index_bijection", "word_str", "word_to_element",
+    "schubert", "tensor_decompose", "verify_projection", "verify_subeigencone",
+    "weight_multiplicities", "weyl", "weyl_dim", "weyl_index_bijection",
+    "word_str", "word_to_element",
 ]
 LAYERS = ("errors", "linalg", "rootsys", "weyl", "schubert", "isogr", "cones",
           "oracle", "cache")

@@ -175,9 +175,17 @@ def test_integer_kernel_matches_fraction_reference(kind, rank, p):
 
 
 def test_canonical_word_rejects_a_non_weyl_matrix():
-    R = build_root_system("C", 2)
-    with pytest.raises(VerificationError):
-        _canonical_word(R, ((2, 0), (0, 1)))
+    # the last three keep the height row of an element of W (A2's diagram
+    # flip, A2's -I, D4's swap of nodes 3 and 4), so a descent walk that
+    # stepped only the height row would return a word for them
+    for kind, rank, matrix in [
+        ("C", 2, ((2, 0), (0, 1))),
+        ("A", 2, ((0, 1), (1, 0))),
+        ("A", 2, ((-1, 0), (0, -1))),
+        ("D", 4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))),
+    ]:
+        with pytest.raises(VerificationError):
+            _canonical_word(build_root_system(kind, rank), matrix)
 
 
 def reference_word(w):
