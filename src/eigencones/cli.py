@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Each command, and each ``verify`` target and table, is a parser of its own
+that accepts exactly the options its code reads; any other flag, or an
+abbreviated one, exits 2 before any work.  A group is one label: A, B, C
+or D with a rank (``C3``), ``G2`` or ``F4``.
+
 Every report is deterministic for a fixed configuration: JSON is emitted
 with sorted keys, CSV with a fixed header row, and the table format mirrors
 the digit-string word layout of the printed coset tables.  Exit codes:
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -45,37 +51,28 @@ FORMATS = ("json", "csv", "table")
 ROOTS_RANK_CAP = 10  # bounds the report: about r^2 roots of r + 1 coordinates each
 
 
-def _parse_group(group, rank, words=True):
-    """The root system of --group (and --rank); the rank is checked first."""
-    if group is None:
-        raise UsageError("--group is required")
-    kind = group.strip()
-    if kind[-1:].isdigit():
-        if kind in ("G2", "F4"):
-            head, tail = kind, int(kind[1])
-        else:
-            head = kind.rstrip("0123456789")
-            tail = int(kind[len(head):])
-        if rank is not None and tail != rank:
-            raise UsageError(f"group {group} conflicts with --rank {rank}")
-        kind, rank = head, tail
-    elif rank is None:
-        raise UsageError(f"group {group} needs --rank")
+# a rank of at most four digits: int() refuses a string of over 4,300
+GROUP_LABEL = re.compile(r"[ABCD][1-9][0-9]{0,3}|G2|F4")
+
+
+def _parse_group(group, words=True):
+    """The root system of a --group label; the rank is checked first."""
+    if not GROUP_LABEL.fullmatch(group):
+        raise UsageError(f"unknown group {group!r}: A, B, C or D and a rank, G2 or F4")
+    rank = int(group[1:])
     if words:
         check_digit_words(rank)
     elif rank > ROOTS_RANK_CAP:
         raise ResourceCapError(f"roots are built for rank <= {ROOTS_RANK_CAP}")
-    return build_root_system(kind, rank)
+    return build_root_system(group if group in ("G2", "F4") else group[0], rank)
 
 
-def _config(args, **extra):
-    cfg = {
+def _config(args):
+    return {
         k: v
         for k, v in vars(args).items()
         if k not in ("func", "command") and v is not None
     }
-    cfg.update(extra)
-    return cfg
 
 
 def _emit(payload, fmt, csv_rows, table_lines):
@@ -98,7 +95,7 @@ def _report(args, **payload):
 
 
 def cmd_roots(args):
-    R = _parse_group(args.group, args.rank, words=False)
+    R = _parse_group(args.group, words=False)
     doc = root_system_to_json(R)
     alphas = [" ".join(map(str, a)) for a in R.root_alpha]
     rows = [("index", "root")] + [(i + 1, a) for i, a in enumerate(alphas)]
@@ -108,7 +105,7 @@ def cmd_roots(args):
 
 
 def cmd_cosets(args):
-    R = _parse_group(args.group, args.rank)
+    R = _parse_group(args.group)
     P = ParabolicSpec(R, args.parabolic)
     rows = coset_table(R, P)
     csv_rows = [("word", "length", "dual")] + [
@@ -128,7 +125,7 @@ def cmd_cosets(args):
 def cmd_multiply(args):
     from .schubert import flag_variety
 
-    R = _parse_group(args.group, args.rank)
+    R = _parse_group(args.group)
     F = flag_variety(R, args.parabolic)
     words = args.words.split(",")
     if len(words) != 2:
@@ -160,7 +157,7 @@ def cmd_multiply(args):
 def cmd_inequalities(args):
     from .cones import generate_inequalities
 
-    R = _parse_group(args.group, args.rank)
+    R = _parse_group(args.group)
     S = generate_inequalities(R, args.n, args.tier)
     doc = S.to_json()
     csv_rows = [("parabolic", "words", "normals", "scale", "multiplicity")] + [
@@ -213,7 +210,7 @@ def _parse_weights(R, n, text):
 def cmd_membership(args):
     from .cones import generate_inequalities, membership
 
-    R = _parse_group(args.group, args.rank)
+    R = _parse_group(args.group)
     lams = _parse_weights(R, args.n, args.weights)
     S = generate_inequalities(R, args.n, args.tier)
     member, violated = membership(lams, S)
@@ -230,40 +227,36 @@ def cmd_membership(args):
     return 0 if member else 1
 
 
-def cmd_verify(args):
-    from .cones import verify_projection, verify_subeigencone
+def _verdict(args, report, detail=()):
+    lines = [f"{args.target}: {'ok' if report['ok'] else 'FAILED'}", *detail]
+    _emit(_report(args, report=report), args.format, None, lines)
+    return 0 if report["ok"] else 1
 
-    if args.target == "thm-main":
-        if args.case is None:
-            raise UsageError("verify thm-main needs --case")
-        params = {}
-        if args.r is not None:
-            check_digit_words(args.r)  # the ambient rank, before any work
-            params["r"] = args.r
-        if args.s is not None:
-            params["s"] = args.s
-        report = verify_subeigencone(args.case, params, args.n)
-    else:  # thm-proj, the parser's other choice
-        if args.r is None or args.s is None:
-            raise UsageError("verify thm-proj needs --r and --s")
-        report = verify_projection(
-            args.r, args.s, args.n, kind=args.group or "C"
-        )
-    payload = _report(args, report=report)
-    lines = [f"{args.target}: {'ok' if report['ok'] else 'FAILED'}"]
-    if args.target == "thm-main" and report.get("mode") == "ambient-products":
+
+def cmd_thm_main(args):
+    from .cones import verify_subeigencone
+
+    params = {k: v for k, v in (("r", args.r), ("s", args.s)) if v is not None}
+    if args.r is not None:
+        check_digit_words(args.r)  # the ambient rank, before any work
+    report = verify_subeigencone(args.case, params, args.n)
+    detail = []
+    if report.get("mode") == "ambient-products":
         for pair in report["pairs"]:
-            lines.append(
-                f"  Q{pair['sub_parabolic']} -> P{pair['ambient_parabolic']}"
-            )
+            detail.append(f"  Q{pair['sub_parabolic']} -> P{pair['ambient_parabolic']}")
             for row in pair["tuples"]:
-                lines.append(
+                detail.append(
                     f"    ({', '.join(row['words'])}) -> m = "
                     f"{row.get('ambient_multiplicity', '-')}"
                     + ("" if row["ok"] else "  FAILED")
                 )
-    _emit(payload, args.format, None, lines)
-    return 0 if report["ok"] else 1
+    return _verdict(args, report, detail)
+
+
+def cmd_thm_proj(args):
+    from .cones import verify_projection
+
+    return _verdict(args, verify_projection(args.r, args.s, args.n, kind=args.group or "C"))
 
 
 def _g2f4_tables():
@@ -291,70 +284,66 @@ def _g2f4_tables():
     return table1, table2, table3
 
 
-def cmd_tables(args):
-    if args.which == "g2f4":
-        t1, t2, t3 = _g2f4_tables()
-        payload = _report(args, table1=t1, table2=t2, table3=t3)
-        lines = []
+def cmd_g2f4(args):
+    t1, t2, t3 = _g2f4_tables()
+    lines = []
 
-        def block(title, data, cols):
-            lines.append(title)
-            for key, rows in data.items():
-                lines.append(f"  [{key}]")
-                width = max(len(r[cols[0]]) for r in rows)
-                for r in rows:
-                    lines.append(f"    {r[cols[0]]:<{width}}  {r[cols[1]]}")
+    def block(title, data, cols):
+        lines.append(title)
+        for key, rows in data.items():
+            lines.append(f"  [{key}]")
+            width = max(len(r[cols[0]]) for r in rows)
+            for r in rows:
+                lines.append(f"    {r[cols[0]]:<{width}}  {r[cols[1]]}")
 
-        block("G2 cosets and duals", t1, ("w", "dual"))
-        block("G2 images in F4", t2, ("w", "image"))
-        block("F4 images and duals", t3, ("w", "dual"))
-        csv_rows = [("table", "column", "w", "value")]
-        for name, data, col in (
-            ("table1", t1, "dual"), ("table2", t2, "image"), ("table3", t3, "dual")
-        ):
-            for key, rows in data.items():
-                csv_rows += [(name, key, r["w"], r[col]) for r in rows]
-        _emit(payload, args.format, csv_rows, lines)
-        return 0
-    if args.which == "index":
-        if args.parabolic is None:
-            raise UsageError("tables index needs --parabolic")
-        from .isogr import index_dictionary_rows
-        from .schubert import flag_variety
+    block("G2 cosets and duals", t1, ("w", "dual"))
+    block("G2 images in F4", t2, ("w", "image"))
+    block("F4 images and duals", t3, ("w", "dual"))
+    csv_rows = [("table", "column", "w", "value")]
+    for name, data, col in (
+        ("table1", t1, "dual"), ("table2", t2, "image"), ("table3", t3, "dual")
+    ):
+        for key, rows in data.items():
+            csv_rows += [(name, key, r["w"], r[col]) for r in rows]
+    _emit(_report(args, table1=t1, table2=t2, table3=t3), args.format, csv_rows, lines)
+    return 0
 
-        R = _parse_group(args.group, args.rank)
-        F = flag_variety(R, args.parabolic)
-        rows = index_dictionary_rows(F)
-        csv_rows = [("word", "index_set", "dim", "codim")] + [
-            (r["word"], " ".join(str(i) for i in r["index_set"]),
-             r["dim"], r["codim"])
-            for r in rows
-        ]
-        lines = [f"index sets for {F.label}"] + [
-            f"  {r['word']:<8} {{{', '.join(str(i) for i in r['index_set'])}}}"
-            f"  dim {r['dim']}"
-            for r in rows
-        ]
-        _emit(_report(args, rows=rows), args.format, csv_rows, lines)
-        return 0
-    if args.which == "orbits":
-        if args.r is None or not 2 <= args.r <= 9:  # before any rows are built
-            raise UsageError("tables orbits needs --r with 2 <= r <= 9")
-        from .isogr import orbit_table_rows
 
-        rows = orbit_table_rows(args.r)
-        csv_rows = [("k", "r", "O1", "O2", "O2'", "O3")] + [
-            (r["k"], r["r"], r["O1"], r["O2"], r["O2'"], r["O3"]) for r in rows
-        ]
-        lines = [f"orbit closure dimensions, r = {args.r}"] + [
-            "  k={}: {} {} {} {}".format(
-                r["k"], r["O1"], r["O2"], r["O2'"], r["O3"]
-            )
-            for r in rows
-        ]
-        _emit(_report(args, rows=rows), args.format, csv_rows, lines)
-        return 0
-    raise UsageError(f"unknown table {args.which!r}")
+def cmd_index(args):
+    from .isogr import index_dictionary_rows
+    from .schubert import flag_variety
+
+    R = _parse_group(args.group)
+    F = flag_variety(R, args.parabolic)
+    rows = index_dictionary_rows(F)
+    csv_rows = [("word", "index_set", "dim", "codim")] + [
+        (r["word"], " ".join(str(i) for i in r["index_set"]), r["dim"], r["codim"])
+        for r in rows
+    ]
+    lines = [f"index sets for {F.label}"] + [
+        f"  {r['word']:<8} {{{', '.join(str(i) for i in r['index_set'])}}}"
+        f"  dim {r['dim']}"
+        for r in rows
+    ]
+    _emit(_report(args, rows=rows), args.format, csv_rows, lines)
+    return 0
+
+
+def cmd_orbits(args):
+    if not 2 <= args.r <= 9:  # before any rows are built
+        raise UsageError("tables orbits takes --r with 2 <= r <= 9")
+    from .isogr import orbit_table_rows
+
+    rows = orbit_table_rows(args.r)
+    csv_rows = [("k", "r", "O1", "O2", "O2'", "O3")] + [
+        (r["k"], r["r"], r["O1"], r["O2"], r["O2'"], r["O3"]) for r in rows
+    ]
+    lines = [f"orbit closure dimensions, r = {args.r}"] + [
+        "  k={}: {} {} {} {}".format(r["k"], r["O1"], r["O2"], r["O2'"], r["O3"])
+        for r in rows
+    ]
+    _emit(_report(args, rows=rows), args.format, csv_rows, lines)
+    return 0
 
 
 # -- parser ------------------------------------------------------------------
@@ -363,8 +352,12 @@ def cmd_tables(args):
 class _Parser(argparse.ArgumentParser):
     """Rejects a command line with one ``usage error:`` line and exit 2.
 
-    Subparsers are made by the parser's own class, so they inherit it.
+    Subparsers are made by the parser's own class, so they inherit it; no
+    parser takes an abbreviated option.
     """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(2, f"usage error: {message}\n")
@@ -377,59 +370,57 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, parabolic=False, n=False):
-        p.add_argument("--group")
-        p.add_argument("--rank", type=int)
-        p.add_argument("--format", choices=FORMATS, default="json")
+    def leaf(subs, name, func, help, *, group=False, parabolic=False, system=False,
+             formats=FORMATS, default="json"):
+        p = subs.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if group:
+            p.add_argument("--group", required=True)
+        p.add_argument("--format", choices=formats, default=default)
         if parabolic:
             p.add_argument("--parabolic", type=int, required=True)
-        if n:
+        if system:
             p.add_argument("--n", type=int, default=3)
             p.add_argument("--tier", choices=("nonzero", "point", "levi"),
                            default="levi")
+        return p
 
-    p = sub.add_parser("roots", help="root system data")
-    common(p)
-    p.set_defaults(func=cmd_roots)
-
-    p = sub.add_parser("cosets", help="minimal coset representatives and duals")
-    common(p, parabolic=True)
-    p.set_defaults(func=cmd_cosets)
-
-    p = sub.add_parser("multiply", help="cup product of two basis classes")
-    common(p, parabolic=True)
+    leaf(sub, "roots", cmd_roots, "root system data", group=True)
+    leaf(sub, "cosets", cmd_cosets, "minimal coset representatives and duals",
+         group=True, parabolic=True)
+    p = leaf(sub, "multiply", cmd_multiply, "cup product of two basis classes",
+             group=True, parabolic=True)
     p.add_argument("--words", required=True)
     p.add_argument("--cache-dir",
                    help="directory that memoizes the products asked for")
-    p.set_defaults(func=cmd_multiply)
-
-    p = sub.add_parser("inequalities", help="eigencone inequality system")
-    common(p, n=True)
-    p.set_defaults(func=cmd_inequalities)
-
-    p = sub.add_parser("membership", help="test a weight tuple against the cone")
-    common(p, n=True)
+    leaf(sub, "inequalities", cmd_inequalities, "eigencone inequality system",
+         group=True, system=True)
+    p = leaf(sub, "membership", cmd_membership, "test a weight tuple against the cone",
+             group=True, system=True)
     p.add_argument("--weights", required=True)
-    p.set_defaults(func=cmd_membership)
 
     p = sub.add_parser("verify", help="run a theorem verification driver")
-    p.add_argument("target", choices=("thm-main", "thm-proj"))
-    p.add_argument("--case")
+    targets = p.add_subparsers(dest="target", required=True)
+    p = leaf(targets, "thm-main", cmd_thm_main, "levi walls lift along an embedding",
+             formats=("json", "table"))
+    p.add_argument("--case", required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--group")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(func=cmd_verify)
+    p = leaf(targets, "thm-proj", cmd_thm_proj, "the B/C projection theorem",
+             formats=("json", "table"))
+    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--group", choices=("B", "C"))
 
     p = sub.add_parser("tables", help="printed-table reproductions and exports")
-    p.add_argument("which", choices=("g2f4", "index", "orbits"))
-    p.add_argument("--group")
-    p.add_argument("--rank", type=int)
-    p.add_argument("--parabolic", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--format", choices=FORMATS, default="table")
-    p.set_defaults(func=cmd_tables)
+    tables = p.add_subparsers(dest="which", required=True)
+    leaf(tables, "g2f4", cmd_g2f4, "G2 in F4 cosets, images and duals", default="table")
+    leaf(tables, "index", cmd_index, "index sets of Sp(2r)/P_k classes",
+         group=True, parabolic=True, default="table")
+    p = leaf(tables, "orbits", cmd_orbits, "orbit closure dimensions", default="table")
+    p.add_argument("--r", type=int, required=True)
 
     return parser
 

@@ -28,7 +28,7 @@ from eigencones.isogr import (
     properness_identity,
     weyl_index_bijection,
 )
-from eigencones.oracle import saturated_search
+from eigencones.oracle import invariant_dim, saturated_search
 from eigencones.rootsys import build_root_system
 from eigencones.schubert import (
     CohomClass,
@@ -235,18 +235,18 @@ def test_criterion_7_oracle_cross_validation():
         found = saturated_search(A1, [(a,), (b,), (c,)], n_max=6)
         assert member == (found is not None), (a, b, c)
 
-    # Sp(4): one-sided in both directions at N_max = 6
-    C2 = build_root_system("C", 2)
-    SC = generate_inequalities(C2, 3, "levi")
-    for combo in itertools.product(
-        itertools.product(range(3), repeat=2), repeat=3
-    ):
-        member = membership(list(combo), SC)[0]
-        found = saturated_search(C2, [tuple(c) for c in combo], n_max=6)
-        if found is not None:
-            assert member, combo
-        if not member:
-            assert found is None, combo
+    # Sp(4) through SL(4), Sp(6) through SL(6): by Belkale-Kumar a C_r triple
+    # is a member iff its image (c_1, .., c_{r-1}, 2 c_r, c_{r-1}, .., c_1) is
+    # an A_{2r-1} member; the image sums into the root lattice, so by
+    # Knutson-Tao saturation one invariant at N = 1 decides it
+    for rank, top in ((2, 3), (3, 1)):
+        SC = generate_inequalities(build_root_system("C", rank), 3, "levi")
+        A = build_root_system("A", 2 * rank - 1)
+        weights = list(itertools.product(range(top + 1), repeat=rank))
+        for combo in itertools.product(weights, repeat=3):
+            image = [c[:-1] + (2 * c[-1],) + c[-2::-1] for c in combo]
+            member = membership(list(combo), SC)[0]
+            assert member == (invariant_dim(A, image) > 0), combo
 
     elapsed = time.time() - t0
     assert elapsed < 600

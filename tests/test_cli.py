@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, formats, determinism, cache coherence."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -16,14 +17,17 @@ from hypothesis import strategies as st
 
 import eigencones
 from eigencones.cache import JsonlStore
-from eigencones.cli import main
+from eigencones.cli import build_parser, main
 from eigencones.rootsys import build_root_system
 from eigencones.schubert import FlagVariety, flag_variety
 from eigencones.weyl import word_str
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as e:  # the parser refused the command line
+        code = e.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -44,21 +48,24 @@ def test_roots_table(capsys):
 
 
 def test_group_parsing_errors(capsys):
-    code, _, err = run(capsys, "roots", "--group", "C")
-    assert code == 2 and "rank" in err
-    code, _, err = run(capsys, "roots", "--group", "C3", "--rank", "2")
-    assert code == 2
-    code, _, err = run(capsys, "roots", "--group", "E6")
-    assert code == 2
+    # a group is one label: A, B, C or D and a rank without leading zeros
+    for group in ("C", "C03", " C3", "G3", "E6", "A" + "9" * 5000):
+        code, out, err = run(capsys, "roots", "--group", group)
+        assert (code, out) == (2, "")
+        assert err == (f"usage error: unknown group {group!r}: "
+                       "A, B, C or D and a rank, G2 or F4\n")
 
 
 @pytest.mark.parametrize("group", ["G2", "F4"])
 def test_exceptional_group_conflicting_rank_exits_2(group, capsys):
-    code, out, err = run(capsys, "cosets", "--group", group, "--rank", "3",
-                         "--parabolic", "1")
+    # the rank lives in the label only, so it cannot conflict with a flag
+    code, out, err = run(capsys, "cosets", "--group", group[0] + "3", "--parabolic", "1")
     assert (code, out) == (2, "")
-    assert err == f"usage error: group {group} conflicts with --rank 3\n"
-    assert run(capsys, "roots", "--group", group, "--rank", group[1])[0] == 0
+    assert err == f"usage error: unknown group '{group[0]}3': A, B, C or D and a rank, G2 or F4\n"
+    code, out, err = run(capsys, "roots", "--group", group, "--rank", group[1])
+    assert (code, out) == (2, "")
+    assert err == f"usage error: unrecognized arguments: --rank {group[1]}\n"
+    assert run(capsys, "roots", "--group", group)[0] == 0
 
 
 @pytest.mark.parametrize("argv,needle", [
@@ -331,8 +338,7 @@ def test_cosets_rank_checked_before_the_bfs(monkeypatch, capsys):
 @pytest.mark.parametrize("argv,code,needle", [
     (("inequalities", "--group", "A12", "--n", "3"), 2, "rank <= 9"),
     (("inequalities", "--group", "A40", "--n", "3"), 2, "rank <= 9"),
-    (("membership", "--group", "C", "--rank", "30", "--weights", "0"), 2,
-     "rank <= 9"),
+    (("membership", "--group", "C30", "--weights", "0"), 2, "rank <= 9"),
     (("multiply", "--group", "B20", "--parabolic", "1", "--words", "1,1"), 2,
      "rank <= 9"),
     (("cosets", "--group", "D10", "--parabolic", "1"), 2, "rank <= 9"),
@@ -341,7 +347,7 @@ def test_cosets_rank_checked_before_the_bfs(monkeypatch, capsys):
     (("verify", "thm-main", "--case", "c-in-c", "--r", "12", "--s", "3"), 2,
      "rank <= 9"),
     (("roots", "--group", "A40"), 3, "rank <= 10"),
-    (("roots", "--group", "C", "--rank", "11"), 3, "rank <= 10"),
+    (("roots", "--group", "C11"), 3, "rank <= 10"),
 ])
 def test_rank_checked_before_the_root_system_is_built(argv, code, needle,
                                                       monkeypatch, capsys):
@@ -403,9 +409,10 @@ def test_verify_thm_proj_reports_are_pinned(argv, sha256, capsys):
 
 
 @pytest.mark.parametrize("argv,code,needle", [
-    (("--group", "G2", "--r", "2", "--s", "1"), 2, "B and C"),
-    (("--group", "D", "--r", "3", "--s", "2"), 2, "B and C"),
-    (("--group", "A", "--r", "3", "--s", "2"), 2, "B and C"),
+    # the parser offers B and C only
+    (("--group", "G2", "--r", "2", "--s", "1"), 2, "invalid choice"),
+    (("--group", "D", "--r", "3", "--s", "2"), 2, "invalid choice"),
+    (("--group", "A", "--r", "3", "--s", "2"), 2, "invalid choice"),
     (("--r", "3", "--s", "2", "--n", "5"), 3, "cap"),
     (("--r", "5", "--s", "2"), 3, "cap"),
     # the cap compares the exponent r * n: 4 ** (r * n) is never built, so a
@@ -460,6 +467,19 @@ def test_verify_thm_main_rejects_unread_parameters(argv, unread, monkeypatch, ca
                              "(choose from 'g2f4', 'index', 'orbits')"),
     (("inequalities", "--group", "C3", "--tuple-cap", "5"),
      "unrecognized arguments: --tuple-cap 5"),
+    (("roots", "--group", "C3", "--rank", "3"), "unrecognized arguments: --rank 3"),
+    (("roots",), "the following arguments are required: --group"),
+    (("verify",), "the following arguments are required: target"),
+    (("verify", "thm-proj", "--r", "3"), "the following arguments are required: --s"),
+    (("verify", "thm-proj", "--r", "3", "--s", "2", "--case", "zzz"),
+     "unrecognized arguments: --case zzz"),
+    (("tables", "g2f4", "--r", "99", "--group", "Q7"),
+     "unrecognized arguments: --r 99 --group Q7"),
+    (("tables", "index", "--group", "C3"),
+     "the following arguments are required: --parabolic"),
+    # no option is taken abbreviated
+    (("cosets", "--group", "C3", "--parabolic", "2", "--form", "csv"),
+     "unrecognized arguments: --form csv"),
 ])
 def test_rejected_command_line_prints_one_line(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -608,7 +628,6 @@ GROUPS = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2", "C", "B", "F",
           "E6", "A0", "")
 VALUES = {
     "--group": GROUPS,
-    "--rank": ("1", "2", "3", "0", "-1", "4"),
     "--parabolic": ("1", "2", "3", "0", "4"),
     "--n": ("1", "2", "3", "0", "-1"),
     "--r": ("1", "2", "3", "0", "-2"),
@@ -621,12 +640,12 @@ VALUES = {
                "identity", "C-IN-C", "bogus"),
     "--format": ("json", "csv", "table"),
 }
-GROUP_FLAGS = ("--group", "--rank", "--format")
+GROUP_FLAGS = ("--group", "--format")
 SYSTEM_FLAGS = GROUP_FLAGS + ("--n", "--tier")
 COMMANDS = {
     ("roots",): GROUP_FLAGS,
     ("cosets",): GROUP_FLAGS + ("--parabolic",),
-    ("multiply",): GROUP_FLAGS + ("--parabolic", "--words"),
+    ("multiply",): GROUP_FLAGS + ("--parabolic", "--words", "--cache-dir"),
     ("inequalities",): SYSTEM_FLAGS,
     ("membership",): SYSTEM_FLAGS + ("--weights",),
     ("verify", "thm-main"): ("--case", "--r", "--s", "--n", "--format"),
@@ -640,7 +659,9 @@ COMMANDS = {
 @st.composite
 def command_lines(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
-    flags = draw(st.lists(st.sampled_from(COMMANDS[command]), unique=True))
+    # every flag but --cache-dir, which would write to disk
+    drawn = [flag for flag in COMMANDS[command] if flag in VALUES]
+    flags = draw(st.lists(st.sampled_from(drawn), unique=True))
     argv = list(command)
     for flag in flags:
         argv += [flag, draw(st.sampled_from(VALUES[flag]))]
@@ -650,7 +671,7 @@ def command_lines(draw):
 @given(command_lines())
 @example(["verify", "thm-main", "--case", "c-in-c", "--r", "3"])
 @example(["verify", "thm-main", "--case", "identity"])
-@example(["cosets", "--group", "G2", "--rank", "3", "--parabolic", "1"])
+@example(["cosets", "--group", "G3", "--parabolic", "1"])
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_no_command_line_escapes_main(argv):
     out, err = StringIO(), StringIO()
@@ -662,3 +683,49 @@ def test_no_command_line_escapes_main(argv):
             assert code == 2, argv
     assert code in (0, 1, 2, 3), argv
     assert len(err.getvalue().splitlines()) <= 1, argv
+
+
+def _leaf_parsers(parser, path=()):
+    """(command, target) -> the parser that reads that command line's options."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {path: parser}
+    return {leaf: p for a in subs for name, child in a.choices.items()
+            for leaf, p in _leaf_parsers(child, path + (name,)).items()}
+
+
+def test_each_command_accepts_exactly_its_options():
+    leaves = _leaf_parsers(build_parser())
+    assert sorted(leaves) == sorted(COMMANDS)
+    for command, parser in leaves.items():
+        flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == set(COMMANDS[command]), command
+
+
+# a command line each (command, target) runs, given its required options
+REQUIRED = {
+    ("roots",): ("--group", "C2"),
+    ("cosets",): ("--group", "C2", "--parabolic", "1"),
+    ("multiply",): ("--group", "C2", "--parabolic", "1", "--words", "1,21"),
+    ("inequalities",): ("--group", "C2"),
+    ("membership",): ("--group", "C2", "--weights", "1,0;1,0;0,1"),
+    ("verify", "thm-main"): ("--case", "sl2-in-g2"),
+    ("verify", "thm-proj"): ("--r", "2", "--s", "1"),
+    ("tables", "g2f4"): (),
+    ("tables", "index"): ("--group", "C2", "--parabolic", "1"),
+    ("tables", "orbits"): ("--r", "3"),
+}
+ALL_FLAGS = sorted({flag for flags in COMMANDS.values() for flag in flags} | {"--rank"})
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command in sorted(COMMANDS) for flag in ALL_FLAGS
+    if flag not in COMMANDS[command]
+], ids=lambda x: " ".join(x) if isinstance(x, tuple) else x)
+def test_a_foreign_option_exits_2_before_any_work(command, flag, capsys):
+    # SystemExit comes from the parser, before main dispatches to a command
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *REQUIRED[command], flag, "1"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err == f"usage error: unrecognized arguments: {flag} 1\n"

@@ -219,6 +219,21 @@ def test_type_a_oracle_is_two_sided(rank, top):
         found = saturated_search(R, list(lams), n_max=rank + 1)
         assert membership(list(lams), S)[0] == (found is not None), lams
 
+
+@pytest.mark.parametrize("rank,top", [(2, 5), (3, 2), (4, 1)])
+def test_type_a_oracle_is_exact_on_the_root_lattice(rank, top):
+    # a triple whose sum lies in the root lattice (sum of i c_i divisible by
+    # rank + 1) needs no search: by saturation N = 1 decides it
+    from eigencones.cones import generate_inequalities, membership
+
+    R = build_root_system("A", rank)
+    S = generate_inequalities(R, 3, "levi")
+    weights = list(itertools.product(range(top + 1), repeat=rank))
+    for lams in itertools.product(weights, repeat=3):
+        if sum(i * c for lam in lams for i, c in enumerate(lam, 1)) % (rank + 1):
+            continue
+        assert membership(list(lams), S)[0] == (invariant_dim(R, lams) > 0), lams
+
 # -- recorded snapshot --------------------------------------------------------
 
 GOLDEN = Path(__file__).parent / "golden" / "oracle-small.json"
