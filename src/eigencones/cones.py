@@ -30,7 +30,7 @@ from .rootsys import (
     restrict_weight_via_embedding,
     weight_coords,
 )
-from .schubert import check_tuple_work, flag_variety, point_product_tuples
+from .schubert import check_tuple_work, flag_variety, graded_counts, point_product_tuples
 from .weyl import (
     ParabolicSpec,
     embed_element,
@@ -169,8 +169,8 @@ def generate_inequalities(R: RootSystem, n, tier):
     if n < 1:
         raise UsageError("n must be >= 1")
     filter = "levi" if tier == "levi" else "point"
+    check_tuple_work(R, range(1, R.rank + 1), n)
     varieties = [flag_variety(R, p) for p in range(1, R.rank + 1)]
-    check_tuple_work(varieties, n)
     seen = {}
     for p, F in enumerate(varieties, 1):
         for pt in point_product_tuples(F, n, filter=filter):
@@ -304,8 +304,10 @@ def verify_subeigencone(case, params, n):
         return report
 
     report["mode"] = "ambient-products"
+    for q, p in E.parabolic_map:  # the pieces in build order, then the tuples
+        graded_counts(E.sub, q), graded_counts(E.ambient, p)
+    check_tuple_work(E.sub, [q for q, _ in E.parabolic_map], n)
     pairs = [(flag_variety(E.sub, q), flag_variety(E.ambient, p)) for q, p in E.parabolic_map]
-    check_tuple_work([FM for FM, _ in pairs], n)
     for (q, p), (FM, FG) in zip(E.parabolic_map, pairs):
         rows = []
         pair_ok = True

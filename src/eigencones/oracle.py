@@ -4,7 +4,7 @@ Everything is exact: Freudenthal's recursion fills character tables, the
 Klimyk alternation multiplies them, and a Steinberg-style alternating sum
 reads off a single outer multiplicity from one character table.  The
 invariant dimension of a tuple folds the last slot through duality, so an
-n = 3 query costs two character tables and |W| reflections per weight.
+n = 3 query costs two character tables and one W-orbit walk.
 
 Weights are int tuples in fundamental-weight (fw) coordinates.  The simple
 root alpha_i is row i of the Cartan matrix, so s_i sends lam to
@@ -13,9 +13,11 @@ and rho is (1, ..., 1).  Positive roots, their coroot coefficients and the
 invariant form are the root system's int rows; the form is the fw Gram
 matrix cleared to ints, a positive multiple of the Killing form, which
 scales both sides of Freudenthal's formula alike.  A character table is
-keyed by dominant fw coordinates, and the lambda - w0 lambda box that
-bounds it is read off the root system's int inverse Cartan matrix with one
-exact division.  Fraction is left to the boundary: parsing input.
+keyed by dominant fw coordinates and spread over the W-orbit walks of its
+dominant weights; the lambda - w0 lambda box that bounds it is read off the
+root system's int inverse Cartan matrix with one exact division, with
+-w0 lambda the dominant fold of -lambda.  Fraction is left to the boundary:
+parsing input.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from operator import add, mul, sub
 
 from .errors import ResourceCapError, UsageError, VerificationError
 from .rootsys import RootSystem, weight_coords
-from .weyl import generate_weyl_group, longest_element
+from .weyl import orbit_walk
 
 DIM_CAP = 1_000_000
 
@@ -53,20 +55,15 @@ def _norm(gram, v):
     return sum(x * sum(map(mul, row, v)) for x, row in zip(v, gram))
 
 
-def _reflect(C, v, i):
-    c = v[i]
-    return tuple(x - c * a for x, a in zip(v, C[i]))
-
-
 def _fold_dominant(C, v):
     """(dominant representative, sign); sign = 0 when a wall is hit."""
     sign = 1
     moved = True
     while moved:
         moved = False
-        for i, c in enumerate(v):
-            if c < 0:
-                v = _reflect(C, v, i)
+        for i in range(len(v)):
+            if (c := v[i]) < 0:  # read from v as it is folded
+                v = tuple(x - c * a for x, a in zip(v, C[i]))
                 sign = -sign
                 moved = True
     return v, (0 if 0 in v else sign)
@@ -84,21 +81,6 @@ def weyl_dim(R: RootSystem, lam):
     if r or d <= 0:
         raise VerificationError(f"Weyl dimension of {coords} is {num}/{den}")
     return d
-
-
-def _orbit(C, v):
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for i in range(len(u)):
-                w = _reflect(C, u, i)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
 
 
 @dataclass(frozen=True)
@@ -121,7 +103,7 @@ def weight_multiplicities(R: RootSystem, lam) -> CharacterTable:
         raise ResourceCapError(f"dim {total} exceeds character table cap {DIM_CAP}")
 
     C = R.cartan_matrix
-    gap = tuple(map(sub, coords, longest_element(R).apply_fw(coords)))
+    gap = tuple(map(add, coords, dual_weight_coords(R, coords)))
     # d times lambda - w0 lambda over the simple roots
     scaled = [sum(map(mul, gap, col)) for col in zip(*R.cartan_inverse)]
     if any(x < 0 or x % R.inverse_scale for x in scaled):
@@ -164,7 +146,7 @@ def weight_multiplicities(R: RootSystem, lam) -> CharacterTable:
         if m:
             mult[mu] = m
 
-    weights = {v: m for mu, m in mult.items() for v in _orbit(C, mu)}
+    weights = {v: m for mu, m in mult.items() for v in orbit_walk(C, mu)}
     if sum(weights.values()) != total:
         raise VerificationError(f"character table of {coords} sums to "
                                 f"{sum(weights.values())}, expected {total}")
@@ -200,19 +182,18 @@ def tensor_decompose(R: RootSystem, lam, mu):
 def dual_weight_coords(R: RootSystem, lam):
     """Highest weight of the dual representation, -w0(lam)."""
     coords = _fw_coords(R, lam)
-    return tuple(-x for x in longest_element(R).apply_fw(coords))
+    return _fold_dominant(R.cartan_matrix, tuple(-x for x in coords))[0]
 
 
 def _outer_multiplicity(R, lam, mu, nu):
     """Multiplicity of V_nu inside V_lam (x) V_mu, one alternating sum."""
     weights = weight_multiplicities(R, mu).weights
     lam_rho = tuple(x + 1 for x in lam)
-    nu_rho = tuple(x + 1 for x in nu)
     acc = 0
-    for w in generate_weyl_group(R):
-        m = weights.get(tuple(map(sub, w.apply_fw(nu_rho), lam_rho)))
+    for point, (length, _, _) in orbit_walk(R.cartan_matrix, tuple(x + 1 for x in nu)).items():
+        m = weights.get(tuple(map(sub, point, lam_rho)))
         if m:
-            acc += -m if w.length & 1 else m
+            acc += -m if length & 1 else m
     if acc < 0:
         raise VerificationError(f"negative multiplicity of {nu} in {lam} x {mu}")
     return acc

@@ -19,7 +19,8 @@ by E, and a remainder is a VerificationError.  theta sums one cached int
 chi_w(x_P) per class, the alpha_P-coefficient of chi_w read off the root
 system's int inverse Cartan matrix.  Nothing here is a Fraction.
 chevalley_multiply reads the recursion's covers; the tests check both
-against Billey's formula.
+against Billey's formula.  A run is priced before any variety is built:
+the graded piece sizes N_c are read off the lengths of the omega_P walk.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from operator import and_, mul, or_
 from .errors import ResourceCapError, UsageError, VerificationError
 from .linalg import set_bits
 from .rootsys import RootSystem, Weight
-from .weyl import ParabolicSpec, dual_rep, minimal_coset_reps, root_reflection, word_str
+from .weyl import (ParabolicSpec, dual_rep, minimal_coset_reps, parabolic_walk,
+                   root_reflection, word_str)
 
 GRADED_PIECE_CAP = 30
 WORK_CAP = 3_000_000  # slot evaluations (graded tuples x n) of one tuple stream
@@ -46,15 +48,13 @@ class FlagVariety:
     def __init__(self, R: RootSystem, excluded: int):
         self.root_system = R
         self.parabolic = ParabolicSpec(R, excluded)
+        graded_counts(R, excluded)  # priced before any element exists
         self.basis = minimal_coset_reps(R, self.parabolic)
         self.index = {w: i for i, w in enumerate(self.basis)}
         self.dim = max(w.length for w in self.basis)
         self.by_codim = by_codim = {}
         for w in self.basis:
             by_codim.setdefault(self.codim(w), []).append(w)
-        if max(len(v) for v in by_codim.values()) > GRADED_PIECE_CAP:  # before the duals
-            raise ResourceCapError(f"graded piece of {self.label} exceeds "
-                                   f"{GRADED_PIECE_CAP} classes")
         self._dual = {w: dual_rep(w, self.parabolic) for w in self.basis}
         # positive roots beta outside the Levi: int fw coordinates,
         # <omega_P, beta^vee> and the reflection r_beta
@@ -335,24 +335,39 @@ def point_product_tuples(F, n, filter="point"):
         raise UsageError("n must be >= 1")
     if filter not in ("all", "point", "levi"):
         raise UsageError(f"unknown filter {filter!r}")
-    check_tuple_work([F], n)
+    check_tuple_work(F.root_system, [F.parabolic.excluded], n)
     for ws in _graded_tuples(F, n):
         m, th = F.point_multiplicity(ws), F.theta(ws)
         if (filter == "all" or m != 0) and (filter != "levi" or th == 0):
             yield PointTuple(ws, m, th)
 
 
-def graded_tuple_count(F, n):
-    """The number of graded n-tuples, or _COUNT_CEILING if larger: the t^dim
-    coefficient of (sum_c N_c t^c)^n, N_c the classes of codimension c, by
-    repeated squaring truncated at degree dim, saturating (no term is < 0)."""
-    dim = F.dim
+@lru_cache(maxsize=None)
+def graded_counts(R, p):
+    """N_c, the classes of codimension c in H*(G/P) for c = 0..dim, read off
+    the lengths of the omega_P walk; a piece over GRADED_PIECE_CAP is refused."""
+    lengths = [length for length, _, _ in parabolic_walk(R, p).values()]
+    counts = [0] * (lengths[-1] + 1)  # the walk is breadth-first
+    for length in lengths:
+        counts[-1 - length] += 1
+    if max(counts) > GRADED_PIECE_CAP:
+        raise ResourceCapError(f"graded piece of {R.label}/P{p} exceeds "
+                               f"{GRADED_PIECE_CAP} classes")
+    return tuple(counts)
+
+
+def graded_tuple_count(R, p, n):
+    """The number of graded n-tuples over G/P, or _COUNT_CEILING if larger: the
+    t^dim coefficient of (sum_c N_c t^c)^n, by repeated squaring truncated at
+    degree dim, saturating (no term is < 0)."""
+    base = graded_counts(R, p)
+    dim = len(base) - 1
 
     def times(a, b):
         return [min(sum(a[i] * b[k - i] for i in range(k + 1)), _COUNT_CEILING)
                 for k in range(dim + 1)]
 
-    base, power = [len(F.by_codim[c]) for c in range(dim + 1)], [1] + [0] * dim
+    power = [1] + [0] * dim
     for bit in bin(n)[2:]:
         power = times(power, power)
         if bit == "1":
@@ -360,14 +375,14 @@ def graded_tuple_count(F, n):
     return power[dim]
 
 
-def check_tuple_work(varieties, n):
-    """Raise ResourceCapError on the first variety whose graded tuples x n exceed WORK_CAP."""
-    for F in varieties:
-        count = graded_tuple_count(F, n)
+def check_tuple_work(R, parabolics, n):
+    """Price the parabolics of R: every graded piece first, then raise
+    ResourceCapError on the first whose graded tuples x n exceed WORK_CAP."""
+    for p, count in zip(parabolics, [graded_tuple_count(R, p, n) for p in parabolics]):
         if count * n > WORK_CAP:
             shown = f"{count:,}" if count < _COUNT_CEILING else f"over {_COUNT_CEILING:,}"
-            raise ResourceCapError(f"{F.label} has {shown} graded {n}-tuples, and tuples x n "
-                                   f"is over the cap {WORK_CAP:,}")
+            raise ResourceCapError(f"{R.label}/P{p} has {shown} graded {n}-tuples, and "
+                                   f"tuples x n is over the cap {WORK_CAP:,}")
 
 
 def _graded_tuples(F, n):

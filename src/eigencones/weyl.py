@@ -5,11 +5,11 @@ in fundamental-weight coordinates; reduced words are witnesses recovered by
 descent stripping (smallest index first), so the digit strings we print are
 canonical but element comparison never goes through words.
 
-W^P is one cached orbit table per parabolic: w -> w omega_P is a bijection
-from W^P onto the orbit of omega_P, and s_i w is the next-longer
-representative exactly when <w omega_P, alpha_i^vee> > 0 (Bourbaki VI.1).
-The minimal representative of w is the entry at w omega_P (column P of its
-matrix); the dual of a representative is the entry at w0 w omega_P.
+Every orbit is one walk: the W-orbit of a dominant fw point lam is W/W_lam,
+searched breadth-first by s_i, which steps up exactly where coordinate i is
+positive (Bourbaki VI.1).  The walk of rho is W and that of omega_P is W^P:
+the minimal representative of w is the entry at w omega_P (column P of its
+matrix), and the dual of a representative is the entry at w0 w omega_P.
 
 Element operations work on Python ints.  A root is positive exactly when
 its height is, so one int row per element (a positive multiple of the
@@ -107,7 +107,7 @@ class WeylElement:
         if not 1 <= i <= R.rank:
             raise UsageError(f"simple reflection index {i} out of range")
         k = i - 1
-        col = tuple(row[k] for row in _ctx(R).refl[k])
+        col = tuple(int(j == k) - a for j, a in enumerate(R.cartan_matrix[k]))
         out = WeylElement(R, tuple(
             row[:k] + (sum(map(mul, row, col)),) + row[k + 1:] for row in self.matrix))
         h = self._height_row()
@@ -123,22 +123,11 @@ class _Context:
 
     def __init__(self, R):
         r = R.rank
-        self.refl = tuple(_simple_matrix(R.cartan_matrix, i) for i in range(r))
         # a positive multiple of the height, over fw coordinates
         self.height = tuple(map(sum, R.cartan_inverse))
         # the simple-coroot Gram matrix inverts the fw one
         self.gram_scale, self.coroot_gram = integer_multiple(mat_inv(R.weight_gram))
-        self.id_matrix = tuple(
-            tuple(1 if i == j else 0 for j in range(r)) for i in range(r)
-        )
-
-
-def _simple_matrix(C, i):
-    r = len(C)
-    return tuple(
-        tuple((1 if j == k else 0) - (C[i][j] if k == i else 0) for k in range(r))
-        for j in range(r)
-    )
+        self.id_matrix = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
 
 
 @lru_cache(maxsize=None)
@@ -186,12 +175,6 @@ def identity(R):
     return WeylElement(R, _ctx(R).id_matrix, 0)
 
 
-def simple_reflection(R, i):
-    if not 1 <= i <= R.rank:
-        raise UsageError(f"simple reflection index {i} out of range")
-    return WeylElement(R, _ctx(R).refl[i - 1], 1)
-
-
 def root_reflection(R, k):
     """The reflection through the k-th positive root (and its negative)."""
     fw, cvee = R.root_fw[k], R.root_coroot[k]
@@ -230,25 +213,48 @@ def word_str(w):
 # -- group and coset enumeration -------------------------------------------
 
 
+def orbit_walk(C, start):
+    """The W-orbit of a dominant fw point by breadth-first search.
+
+    Maps each point to (length, parent point, i), the point being s_i of its
+    parent: s_i steps up exactly where coordinate i is positive, so the
+    length is that of the minimal w sending start to the point.
+    """
+    # s_i subtracts c alpha_i, and alpha_i is row i of C: only its non-zero entries move
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in C]
+    walk = {start: (0, None, None)}
+    points = [start]
+    for lam in points:  # grows as new points are found
+        length = walk[lam][0] + 1
+        for i, c in enumerate(lam):
+            if c > 0:
+                mu = list(lam)
+                for j, a in rows[i]:
+                    mu[j] -= c * a
+                mu = tuple(mu)
+                if mu not in walk:
+                    walk[mu] = (length, lam, i)
+                    points.append(mu)
+        if len(walk) > WEYL_SIZE_CAP:
+            raise ResourceCapError(f"W-orbit of {start} exceeds the size cap {WEYL_SIZE_CAP}")
+    return walk
+
+
+def _walk_elements(R, walk):
+    """point -> the minimal w reaching it; row j of s_i m is m_j - C[i][j] m_i."""
+    C, mats = R.cartan_matrix, {None: _ctx(R).id_matrix}
+    for point, (_, parent, i) in walk.items():  # parents come first
+        m = mats[parent]
+        mats[point] = m if i is None else tuple(
+            tuple(x - C[i][j] * y for x, y in zip(row, m[i])) for j, row in enumerate(m))
+    return {point: WeylElement(R, mats[point], length)
+            for point, (length, _, _) in walk.items()}
+
+
 @lru_cache(maxsize=None)
 def generate_weyl_group(R):
-    """The full Weyl group by breadth-first closure under the generators."""
-    ctx = _ctx(R)
-    seen = {ctx.id_matrix: 0}
-    frontier = [ctx.id_matrix]
-    while frontier:
-        new = []
-        for m in frontier:
-            for s in ctx.refl:
-                p = _mat_mul_int(m, s)
-                if p not in seen:
-                    seen[p] = seen[m] + 1
-                    new.append(p)
-        if len(seen) > WEYL_SIZE_CAP:
-            raise ResourceCapError(
-                f"Weyl group of {R.label} exceeds the size cap {WEYL_SIZE_CAP}")
-        frontier = new
-    return frozenset(WeylElement(R, m, l) for m, l in seen.items())
+    """The full Weyl group: the walk of the regular point rho = (1, ..., 1)."""
+    return frozenset(_walk_elements(R, orbit_walk(R.cartan_matrix, (1,) * R.rank)).values())
 
 
 @lru_cache(maxsize=None)
@@ -290,20 +296,16 @@ class ParabolicSpec:
 
 
 @lru_cache(maxsize=None)
+def parabolic_walk(R, excluded):
+    """The walk of omega_P, shared by W^P and the pricing of G/P."""
+    ParabolicSpec(R, excluded)  # range check
+    return orbit_walk(R.cartan_matrix, tuple(int(j == excluded - 1) for j in range(R.rank)))
+
+
+@lru_cache(maxsize=None)
 def _orbit_table(R, excluded):
     """W^P sorted by (length, word), and the dict from w omega_P to w."""
-    start = tuple(int(j == excluded - 1) for j in range(R.rank))
-    table = {start: identity(R)}
-    points = [start]
-    for lam in points:  # grows as new points are found
-        w = table[lam]
-        for i, c in enumerate(lam):
-            if c > 0:  # alpha_i is row i of the Cartan matrix
-                mu = tuple(x - c * a for x, a in zip(lam, R.cartan_matrix[i]))
-                if mu not in table:
-                    u = simple_reflection(R, i + 1) * w
-                    table[mu] = WeylElement(R, u.matrix, w.length + 1)
-                    points.append(mu)
+    table = _walk_elements(R, parabolic_walk(R, excluded))
     return tuple(sorted(table.values(), key=lambda w: (w.length, w.word))), table
 
 

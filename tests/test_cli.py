@@ -20,7 +20,7 @@ from eigencones.cache import JsonlStore
 from eigencones.cli import build_parser, main
 from eigencones.rootsys import build_root_system
 from eigencones.schubert import FlagVariety, flag_variety
-from eigencones.weyl import word_str
+from eigencones.weyl import WeylElement, word_str
 
 
 def run(capsys, *argv):
@@ -277,6 +277,30 @@ def test_oversized_runs_are_refused_before_they_start(argv):
     assert (proc.returncode, proc.stdout) == (3, b"")
     err = proc.stderr.decode()
     assert err.startswith("resource cap: ") and len(err.splitlines()) == 1
+
+
+PIECE_CAP = "resource cap: graded piece of {} exceeds 30 classes\n"
+REFUSALS = [
+    (("inequalities", "--group", "C9", "--n", "3"), PIECE_CAP.format("C9/P3")),
+    (("inequalities", "--group", "D9", "--n", "3"), PIECE_CAP.format("D9/P3")),
+    (("inequalities", "--group", "F4", "--n", "6"),
+     "resource cap: F4/P2 has 15,123,366 graded 6-tuples, and tuples x n is over "
+     "the cap 3,000,000\n"),
+    (("multiply", "--group", "C9", "--parabolic", "4", "--words", "4,34"),
+     PIECE_CAP.format("C9/P4")),
+    (("verify", "thm-main", "--case", "c-in-c", "--r", "9", "--s", "8"),
+     PIECE_CAP.format("C9/P3")),
+]
+
+
+@pytest.mark.parametrize("argv,err", REFUSALS, ids=[" ".join(a) for a, _ in REFUSALS])
+def test_a_refusal_builds_no_weyl_element(argv, err, monkeypatch, capsys):
+    # a run is priced off the lengths of the omega_P walks alone
+    def fail(*args):
+        raise AssertionError("a WeylElement was built before the run was priced")
+
+    monkeypatch.setattr(WeylElement, "__init__", fail)
+    assert run(capsys, *argv) == (3, "", err)
 
 
 # recorded before the tuple walk became iterative; guards the order of the

@@ -18,6 +18,7 @@ from eigencones.oracle import (
     weyl_dim,
 )
 from eigencones.rootsys import build_root_system
+from eigencones.weyl import generate_weyl_group, longest_element
 from epsilon import fw_coords
 
 A1 = build_root_system("A", 1)
@@ -138,6 +139,34 @@ def test_dual_weights():
     assert dual_weight_coords(A1, (5,)) == (5,)
     assert dual_weight_coords(C2, (2, 3)) == (2, 3)
     assert dual_weight_coords(G2, (1, 2)) == (1, 2)
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 2), ("A", 3), ("C", 3), ("D", 5), ("G2", 2)])
+def test_dual_weight_is_minus_w0_lambda(kind, rank):
+    R = build_root_system(kind, rank)
+    w0 = longest_element(R)
+    for lam in itertools.product(range(3), repeat=rank):
+        assert dual_weight_coords(R, lam) == tuple(-x for x in w0.apply_fw(lam))
+
+
+def reference_outer_multiplicity(R, lam, mu, nu):
+    """The alternating sum over all of W, element by element."""
+    weights = weight_multiplicities(R, mu).weights
+    lam_rho = tuple(x + 1 for x in lam)
+    acc = 0
+    for w in generate_weyl_group(R):
+        shifted = w.apply_fw(tuple(x + 1 for x in nu))
+        acc += (-1) ** w.length * weights.get(tuple(a - b for a, b in zip(shifted, lam_rho)), 0)
+    return acc
+
+
+@pytest.mark.parametrize("kind,rank,top", [("A", 2, 2), ("C", 2, 2), ("G2", 2, 2), ("B", 3, 1)])
+def test_outer_multiplicity_is_the_group_sum(kind, rank, top):
+    R = build_root_system(kind, rank)
+    box = list(itertools.product(range(top + 1), repeat=rank))
+    for lam, mu, nu in itertools.product(box, repeat=3):
+        assert (oracle._outer_multiplicity(R, lam, mu, nu)
+                == reference_outer_multiplicity(R, lam, mu, nu))
 
 
 def test_invariant_dim_examples():

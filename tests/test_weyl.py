@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from eigencones import weyl
 from eigencones.errors import ResourceCapError, UsageError, VerificationError
 from eigencones.rootsys import build_embedding, build_root_system
+from eigencones.schubert import flag_variety, graded_counts
 from eigencones.weyl import (
     ParabolicSpec,
     WeylElement,
@@ -21,7 +22,8 @@ from eigencones.weyl import (
     longest_element,
     minimal_coset_reps,
     minimal_rep,
-    simple_reflection,
+    orbit_walk,
+    parabolic_walk,
     verify_dual_commutes,
     word_str,
     word_to_element,
@@ -101,6 +103,73 @@ def test_group_cap(monkeypatch):
         generate_weyl_group.__wrapped__(R)
 
 
+def matrix_bfs(R):
+    """{matrix: length} of the full group by closure under right products with
+    the simple reflections: the reference for the walk of rho."""
+    refl = [word_to_element(R, [i]).matrix for i in range(1, R.rank + 1)]
+    seen = {identity(R).matrix: 0}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for m in frontier:
+            for s in refl:
+                p = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*s))
+                          for row in m)
+                if p not in seen:
+                    seen[p] = seen[m] + 1
+                    new.append(p)
+        frontier = new
+    return seen
+
+
+WALK_GROUPS = [(kind, rank) for kind, ranks in (("A", (1, 2, 3, 4)), ("B", (1, 2, 3, 4)),
+                                                ("C", (1, 2, 3, 4)), ("D", (3, 4)))
+               for rank in ranks] + [("G2", 2), ("F4", 4)]
+
+
+@pytest.mark.parametrize("kind,rank", WALK_GROUPS)
+def test_group_is_the_matrix_closure(kind, rank):
+    R = build_root_system(kind, rank)
+    assert {w.matrix: w.length for w in generate_weyl_group(R)} == matrix_bfs(R)
+
+
+@pytest.mark.parametrize("kind,rank", WALK_GROUPS)
+def test_walk_lengths_are_element_lengths(kind, rank):
+    # the element reaching each point of the walk of rho, from its matrix alone
+    R = build_root_system(kind, rank)
+    walk = orbit_walk(R.cartan_matrix, (1,) * rank)
+    for w in generate_weyl_group(R):
+        fresh = WeylElement(R, w.matrix)
+        assert walk[fresh.apply_fw((1,) * rank)][0] == fresh.length
+    for p in range(1, rank + 1):
+        walk = parabolic_walk(R, p)
+        for w in minimal_coset_reps(R, ParabolicSpec(R, p)):
+            point = tuple(row[p - 1] for row in w.matrix)
+            assert walk[point][0] == WeylElement(R, w.matrix).length
+
+
+def test_walk_parents_are_simple_reflections():
+    R = build_root_system("F4", 4)
+    walk = orbit_walk(R.cartan_matrix, (2, 0, 1, 0))
+    for point, (length, parent, i) in walk.items():
+        if parent is None:
+            assert (point, length) == ((2, 0, 1, 0), 0)
+            continue
+        assert walk[parent][0] == length - 1 and parent[i] > 0
+        assert point == word_to_element(R, [i + 1]).apply_fw(parent)
+
+
+GRADED_CASES = [(kind, rank, p) for kind, rank in WALK_GROUPS + [
+    ("A", 5), ("B", 5), ("C", 5), ("D", 5)] for p in range(1, rank + 1)]
+
+
+@pytest.mark.parametrize("kind,rank,p", GRADED_CASES)
+def test_graded_counts_are_the_graded_pieces(kind, rank, p):
+    R = build_root_system(kind, rank)
+    F = flag_variety(R, p)
+    assert graded_counts(R, p) == tuple(len(F.by_codim[c]) for c in range(F.dim + 1))
+
+
 def test_a1_group():
     R = build_root_system("A", 1)
     elements = generate_weyl_group(R)
@@ -121,7 +190,7 @@ def test_word_reconstruction():
     w = word_to_element(R, "2324321")
     replay = identity(R)
     for i in w.word:
-        replay = replay * simple_reflection(R, i)
+        replay = replay * word_to_element(R, [i])
     assert replay == w
     assert w.length == 7
 
@@ -195,7 +264,7 @@ def reference_word(w):
     while w != identity(R):
         i = next(i for i in range(1, R.rank + 1) if not w.sends_positive(i))
         word.append(i)
-        w = w * simple_reflection(R, i)
+        w = w * word_to_element(R, [i])
     return tuple(reversed(word))
 
 
@@ -209,12 +278,12 @@ def test_words_match_the_full_product_reference(kind, rank):
             u = word_to_element(R, w.word)
             full = identity(R)
             for i in w.word:
-                full = full * simple_reflection(R, i)
+                full = full * word_to_element(R, [i])
             assert u == full == w
             # the height row stepped along the word is the one computed afresh
             assert u._height_row() == full._height_row()
             for j in levi_simple(P):
-                assert minimal_rep(w * simple_reflection(R, j), P) == w
+                assert minimal_rep(w * word_to_element(R, [j]), P) == w
 
 
 def test_word_letters_check_the_index():
@@ -226,7 +295,7 @@ def test_word_letters_check_the_index():
 
 def test_sends_positive_checks_the_index():
     R = build_root_system("C", 3)
-    w = simple_reflection(R, 3)
+    w = word_to_element(R, [3])
     assert [w.sends_positive(i) for i in (1, 2, 3)] == [True, True, False]
     for i in (0, R.rank + 1):
         with pytest.raises(UsageError):
@@ -383,7 +452,7 @@ def test_inverse_and_products_f4(wa, wb):
 
 def test_sl2_in_g2_big_cell():
     E = build_embedding("sl2-in-g2")
-    s = simple_reflection(E.sub, 1)
+    s = word_to_element(E.sub, [1])
     img = embed_element(E, s)
     assert img == word_to_element(E.ambient, "21212")
 
