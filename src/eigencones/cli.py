@@ -53,6 +53,8 @@ ROOTS_RANK_CAP = 10  # bounds the report: about r^2 roots of r + 1 coordinates e
 
 # a rank of at most four digits: int() refuses a string of over 4,300
 GROUP_LABEL = re.compile(r"[ABCD][1-9][0-9]{0,3}|G2|F4")
+# Fraction() expands a decimal exponent: one over 4,300 is refused first
+EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)$")
 
 
 def _parse_group(group, words=True):
@@ -196,8 +198,11 @@ def _parse_weights(R, n, text):
         raise UsageError(f"expected {n} weights, got {len(chunks)}")
     out = []
     for chunk in chunks:
+        tokens = [t.strip() for t in chunk.split(",")]
         try:
-            coords = tuple(Fraction(t.strip()) for t in chunk.split(","))
+            if any(e and int(e[1]) > 4300 for e in map(EXPONENT.search, tokens)):
+                raise UsageError(f"weight {chunk!r} has an exponent over 4,300 in magnitude")
+            coords = tuple(map(Fraction, tokens))
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"weight {chunk!r} is not a list of rationals") from None
         if len(coords) != R.rank:

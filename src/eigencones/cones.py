@@ -131,18 +131,12 @@ def system_from_json(doc):
 
 
 def _raw_normals(F, ws):
-    """Per-slot functionals lambda -> <omega_P, w^-1 lambda> over fw coords."""
+    """Per-slot lambda -> <omega_P, w^-1 lambda> over fw coords: w^-1 omega_j is
+    column j of w^-1's int matrix, and only the Killing pairing reads epsilon."""
     R = F.root_system
     omega_p = R.fundamental_weights[F.parabolic.excluded - 1]
-    slots = []
-    for w in ws:
-        u = w.inverse()
-        row = []
-        for j in range(R.rank):
-            unit = tuple(Fraction(1) if t == j else Fraction(0) for t in range(R.rank))
-            row.append(R.killing(omega_p, R.from_fw(u.apply_fw(unit))))
-        slots.append(tuple(row))
-    return tuple(slots)
+    return tuple(tuple(R.killing(omega_p, R.from_fw(col)) for col in zip(*w.inverse().matrix))
+                 for w in ws)
 
 
 def _primitive(slots):

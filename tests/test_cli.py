@@ -7,6 +7,7 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -315,6 +316,18 @@ def test_inequalities_f4_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == F4_N3_SHA256
 
 
+# recorded before the normals read w^-1's int columns; guards every normal
+# and the dedup order of a rank-5 system
+C5_N3_SHA256 = "de1200b3e2c6bf193d7fa8f53a94bf20cd3d663dca22075c095d76127a61b600"
+C5_N3_BYTES = 1_291_240
+
+
+def test_inequalities_c5_report_is_pinned(capsys):
+    code, out, _ = run(capsys, "inequalities", "--group", "C5", "--n", "3")
+    assert (code, len(out.encode())) == (0, C5_N3_BYTES)
+    assert hashlib.sha256(out.encode()).hexdigest() == C5_N3_SHA256
+
+
 def test_membership_exit_codes(capsys):
     code, out, _ = run(capsys, "membership", "--group", "A1", "--n", "3",
                        "--weights", "1,1,2")
@@ -348,6 +361,31 @@ def test_bad_arguments_exit_2_with_one_line(argv, tmp_path, capsys):
     assert code == 2
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("token", ["1e100000000", "1e-100000000", "1e4301"])
+def test_a_huge_weight_exponent_is_refused_at_once(token):
+    # Fraction() expanded each exponent into a power of ten for minutes; a
+    # fresh process, so that a regression fails on the timeout, not hangs
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "eigencones.cli", "membership", "--group", "C2",
+         "--weights", f"{token},0;0,0;0,0"],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=str(Path(eigencones.__file__).parents[1])),
+    )
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"usage error: weight '{token},0' has an exponent over 4,300 "
+                           "in magnitude\n")
+
+
+@pytest.mark.parametrize("weights", ["1.5e3,0;0,0;0,0", "1e4300,0;0,0;0,0",
+                                     "1E-4300,0;0,0;0,0"])
+def test_a_weight_exponent_up_to_4300_is_read(weights, capsys):
+    code, out, _ = run(capsys, "membership", "--group", "C2", "--weights", weights)
+    assert code == 1
+    assert json.loads(out)["verdict"] == "not-in-cone"
 
 
 def test_cosets_rank_checked_before_the_bfs(monkeypatch, capsys):
@@ -659,7 +697,8 @@ VALUES = {
     "--tier": ("nonzero", "point", "levi"),
     "--words": ("1,2", "e,1", "12,21", "21,121", "2,212", "1", "x,1", ",", "0,1"),
     "--weights": ("0,0;0,0;0,0", "1,0;1,0;0,1", "1,1,2", "0,1,0;0,1,0;2,0,0",
-                  "1/0,0;1,0;0,1", "a", "", ";;"),
+                  "1/0,0;1,0;0,1", "a", "", ";;", "1e100000000,0;0,0;0,0",
+                  "1e-100000000,0;0,0;0,0"),
     "--case": ("c-in-c", "b-in-b", "sl2-in-g2", "g2-in-f4", "d-chain",
                "identity", "C-IN-C", "bogus"),
     "--format": ("json", "csv", "table"),

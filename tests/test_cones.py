@@ -30,6 +30,7 @@ from eigencones.errors import ResourceCapError, UsageError
 from eigencones.linalg import dot
 from eigencones.rootsys import Weight, build_root_system, weight_coords
 from eigencones.schubert import flag_variety
+from eigencones.weyl import WeylElement
 from cone_lp import certified_implication
 from epsilon import ambient
 
@@ -130,6 +131,21 @@ def test_raw_normals_are_gram_rows_of_w_omega_p(kind, rank):
             ints = tuple(sum(map(mul, column, g)) for g in R.weight_gram)
             assert all(type(x) is int for x in ints)
             assert _raw_normals(F, (w,))[0] == tuple(c * x for x in ints)
+
+
+@pytest.mark.parametrize("kind,rank", [("C", 4), ("F4", 4)])
+def test_raw_normals_apply_no_weyl_element(kind, rank, monkeypatch):
+    # the normals read w^-1's int columns; no unit vector goes through apply_fw
+    R = build_root_system(kind, rank)
+    varieties = [flag_variety(R, p) for p in range(1, rank + 1)]
+
+    def fail(self, coords):
+        raise AssertionError("_raw_normals applied a Weyl element to a vector")
+
+    monkeypatch.setattr(WeylElement, "apply_fw", fail)
+    for F in varieties:
+        for w in F.basis:
+            assert len(_raw_normals(F, (w,))[0]) == rank
 
 
 def test_dedup_no_proportional_pairs():
