@@ -39,10 +39,8 @@ from .rootsys import (
 from .weyl import (
     ParabolicSpec,
     check_digit_words,
+    coset_images,
     coset_table,
-    dual_rep,
-    embed_element,
-    minimal_coset_reps,
     word_str,
     word_to_element,
 )
@@ -265,26 +263,14 @@ def cmd_thm_proj(args):
 
 
 def _g2f4_tables():
-    G2 = build_root_system("G2", 2)
     E = build_embedding("g2-in-f4")
-    F4 = E.ambient
     table1, table2, table3 = {}, {}, {}
     for q in (1, 2):
-        Q = ParabolicSpec(G2, q)
-        p = E.matched_parabolic(q)
-        P = ParabolicSpec(F4, p)
-        reps = minimal_coset_reps(G2, Q)
-        table1[f"Q{q}"] = [
-            {"w": word_str(w), "dual": word_str(dual_rep(w, Q))} for w in reps
-        ]
-        images = [embed_element(E, w, minimize_into=P) for w in reps]
-        table2[f"Q{q}"] = [
-            {"w": word_str(w), "image": word_str(img)}
-            for w, img in zip(reps, images)
-        ]
-        table3[f"P{p}"] = [
-            {"w": word_str(img), "dual": word_str(dual_rep(img, P))}
-            for img in images
+        P, rows = coset_images(E, q)
+        table1[f"Q{q}"] = [{"w": word_str(w), "dual": word_str(d)} for w, d, _, _ in rows]
+        table2[f"Q{q}"] = [{"w": word_str(w), "image": word_str(i)} for w, _, i, _ in rows]
+        table3[f"P{P.excluded}"] = [
+            {"w": word_str(i), "dual": word_str(d)} for _, _, i, d in rows
         ]
     return table1, table2, table3
 

@@ -11,7 +11,6 @@ concatenated normals.
 from __future__ import annotations
 
 import itertools
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +41,6 @@ from .weyl import (
 TIERS = ("nonzero", "point", "levi")
 GRID_TOP = 3          # verify_projection scans fw coordinates 0..GRID_TOP
 GRID_CAP_EXPONENT = 12  # the grid has (GRID_TOP + 1) ** (r * n) cells
-GRID_CAP = (GRID_TOP + 1) ** GRID_CAP_EXPONENT
 
 
 @dataclass(frozen=True)
@@ -106,9 +104,6 @@ class IneqSystem:
                 for q in self.inequalities
             ],
         }
-
-    def dumps(self):
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def system_from_json(doc):
@@ -340,20 +335,21 @@ def verify_subeigencone(case, params, n):
 
 
 def verify_projection(r, s, n, kind="C"):
-    """Grid-and-facet check of the projection theorem at one (r, s).
+    """Grid check of the projection theorem at one (r, s).
 
     Over all weight tuples with fundamental-weight coordinates in
-    {0..GRID_TOP}: every ambient tier=levi member projects into the rank-s
-    tier=levi cone; one boundary point per ambient wall is checked too
-    (the first grid member tight on it other than the all-zero tuple, which
-    is tight on every wall, or that tuple when there is none); pi o iota is
-    the identity on the sub grid; the per-step pairing invariance holds.
+    {0..GRID_TOP}: every ambient tier=levi member, those on a wall
+    included, projects into the rank-s tier=levi cone; pi o iota is the
+    identity on the sub grid; the per-step pairing invariance holds.
+    boundary_points counts the ambient walls.
     """
     if kind not in ("B", "C"):
         raise UsageError("the projection theorem is checked in types B and C, "
                          f"not {kind}")
     if not 1 <= s < r:
         raise UsageError("need 1 <= s < r")
+    if n < 1:  # before r * n is read, as it is 0 or negative then
+        raise UsageError("n must be >= 1")
     if r * n > GRID_CAP_EXPONENT:  # compare exponents; r * n may be huge
         raise ResourceCapError(
             f"projection grid has {GRID_TOP + 1}^(r * n) cells, and r * n is over "
@@ -367,9 +363,9 @@ def verify_projection(r, s, n, kind="C"):
     # the restriction pairs int coordinates with int coroot rows: ints in both types
     proj_coords = [project_weight_BC(Weight(amb, c), s).coords for c in slot_coords]
 
-    member_count, violations, boundary = _grid_scan(
+    member_count, violations = _grid_scan(
         _value_tables(SG, slot_coords), _value_tables(SM, proj_coords),
-        n, len(slot_coords), slot_coords.index((0,) * r),
+        n, len(slot_coords),
     )
 
     section_ok = True
@@ -393,7 +389,7 @@ def verify_projection(r, s, n, kind="C"):
         "ambient_inequalities": len(SG.inequalities),
         "sub_inequalities": len(SM.inequalities),
         "grid_members": member_count,
-        "boundary_points": len(boundary),
+        "boundary_points": len(SG.inequalities),
         "violations": violations,
         "section_identity": section_ok,
         "invariance_checks": invariance_checked,
@@ -488,38 +484,16 @@ def _cells(rows, n, n_slots):
     return (_cell(h, j, n, n_slots) for h, m in enumerate(rows) for j in set_bits(m))
 
 
-def _first_tight(rows, tables, n, n_slots):
-    """Per inequality, the first combo set in rows where it is tight, or None."""
-    return [
-        next((_cell(h, next(set_bits(t)), n, n_slots)
-              for h, (m, b) in enumerate(zip(rows, bounds))
-              if (t := m & eq.get(b, 0))), None)
-        for bounds, eq in _walls(tables, n, n_slots)
-    ]
+def _grid_scan(tables, sub_tables, n, n_slots):
+    """Membership scan of the full grid: (member count, violation records).
 
-
-def _grid_scan(tables, sub_tables, n, n_slots, zero_index):
-    """Membership scan of the full grid.
-
-    Returns (member count, violation records, boundary witness combos).
-    A violation names the offending index combo; the boundary list holds,
-    per ambient inequality, the first grid member other than the all-zero
-    combo that is tight on it (the all-zero combo when there is none).
+    A violation names the index combo of an ambient member outside the sub
+    cone.  Members tight on an ambient wall are among those checked, so no
+    separate boundary pass is needed.
     """
     members = _scan(tables, n, n_slots)
     subs = _scan(sub_tables, n, n_slots)
     count = sum(m.bit_count() for m in members)
     violations = [{"tuple": c} for c in _cells(
         (m & ~s for m, s in zip(members, subs)), n, n_slots)]
-
-    # the all-zero combo is tight on every wall, so the witnesses skip it
-    zero_combo = (zero_index,) * n
-    row, bit = divmod(sum(zero_index * n_slots ** i for i in range(n)),
-                      n_slots ** _tail(n))
-    members[row] &= ~(1 << bit)
-    boundary = [zero_combo if w is None else w
-                for w in _first_tight(members, tables, n, n_slots)]
-    for qi, w in enumerate(boundary):
-        if any(sum(t[i][w[i]] for i in range(n)) > 0 for t in sub_tables):
-            violations.append({"facet": qi, "tuple": w})
-    return count, violations, boundary
+    return count, violations

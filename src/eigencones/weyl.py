@@ -365,26 +365,28 @@ def embed_element(E, w, minimize_into=None):
     return img
 
 
-def verify_dual_commutes(E, q):
-    """Per element of W_M^Q: embed(dual_Q(w)) == dual_P(embed(w)), minimized."""
+def coset_images(E, q):
+    """P matched to Q, and per w in W_M^Q: (w, dual_Q w, image in W^P, its dual_P)."""
     Q = ParabolicSpec(E.sub, q)
     P = ParabolicSpec(E.ambient, E.matched_parabolic(q))
     rows = []
-    ok = True
     for w in minimal_coset_reps(E.sub, Q):
-        lhs = embed_element(E, dual_rep(w, Q), minimize_into=P)
-        rhs = dual_rep(embed_element(E, w, minimize_into=P), P)
-        rows.append(
-            {
-                "w": word_str(w),
-                "embed_dual": word_str(lhs),
-                "dual_embed": word_str(rhs),
-                "commutes": lhs == rhs,
-            }
-        )
-        ok = ok and lhs == rhs
+        img = embed_element(E, w, minimize_into=P)
+        rows.append((w, dual_rep(w, Q), img, dual_rep(img, P)))
+    return P, rows
+
+
+def verify_dual_commutes(E, q):
+    """Per element of W_M^Q: embed(dual_Q(w)) == dual_P(embed(w)), minimized."""
+    P, rows = coset_images(E, q)
+    image = {w: img for w, _, img, _ in rows}  # dual_Q w is itself a row's w
+    checks = []
+    for w, dual, _, rhs in rows:
+        lhs = image[dual]
+        checks.append({"w": word_str(w), "embed_dual": word_str(lhs),
+                       "dual_embed": word_str(rhs), "commutes": lhs == rhs})
     return {"case": E.case, "sub_parabolic": q, "ambient_parabolic": P.excluded,
-            "all_commute": ok, "rows": rows}
+            "all_commute": all(c["commutes"] for c in checks), "rows": checks}
 
 
 # -- table export -----------------------------------------------------------

@@ -218,10 +218,10 @@ def test_criterion_6_projection():
     assert rep["violations"] == []
     assert rep["section_identity"]
     assert rep["grid_members"] > 0
-    # one boundary point per ambient facet was scanned
+    # boundary_points counts the ambient walls; their grid points are members
     assert rep["boundary_points"] == rep["ambient_inequalities"]
     print(f"criterion 6: PASS ({rep['grid_members']} grid members, "
-          f"{rep['boundary_points']} facet points)")
+          f"{rep['boundary_points']} walls)")
 
 
 def test_criterion_7_oracle_cross_validation():

@@ -380,6 +380,22 @@ def test_a_huge_weight_exponent_is_refused_at_once(token):
                            "in magnitude\n")
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_a_huge_projection_rank_with_no_slots_is_refused_at_once(n):
+    # with n <= 0, r * n passed the grid cap and the rank-r root system was
+    # built before n was checked; a fresh process, as in the test above
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "eigencones.cli", "verify", "thm-proj",
+         "--r", "100000", "--s", "1", "--n", n],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=str(Path(eigencones.__file__).parents[1])),
+    )
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "usage error: n must be >= 1\n"
+
+
 @pytest.mark.parametrize("weights", ["1.5e3,0;0,0;0,0", "1e4300,0;0,0;0,0",
                                      "1E-4300,0;0,0;0,0"])
 def test_a_weight_exponent_up_to_4300_is_read(weights, capsys):
@@ -685,14 +701,15 @@ def test_failed_self_check_exits_1_with_one_line(monkeypatch, capsys):
 
 
 # a bounded command-line alphabet: groups, --r and --n stay at rank and
-# arity 3 or below, so that each example runs in under a second
+# arity 3 or below, so that each example runs in under a second; the one
+# huge --r is there because every command must refuse it before any work
 GROUPS = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2", "C", "B", "F",
           "E6", "A0", "")
 VALUES = {
     "--group": GROUPS,
     "--parabolic": ("1", "2", "3", "0", "4"),
     "--n": ("1", "2", "3", "0", "-1"),
-    "--r": ("1", "2", "3", "0", "-2"),
+    "--r": ("1", "2", "3", "0", "-2", "100000"),
     "--s": ("1", "2", "3", "0", "-1"),
     "--tier": ("nonzero", "point", "levi"),
     "--words": ("1,2", "e,1", "12,21", "21,121", "2,212", "1", "x,1", ",", "0,1"),
@@ -735,6 +752,7 @@ def command_lines(draw):
 @example(["verify", "thm-main", "--case", "c-in-c", "--r", "3"])
 @example(["verify", "thm-main", "--case", "identity"])
 @example(["cosets", "--group", "G3", "--parabolic", "1"])
+@example(["verify", "thm-proj", "--r", "100000", "--s", "1", "--n", "0"])
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_no_command_line_escapes_main(argv):
     out, err = StringIO(), StringIO()

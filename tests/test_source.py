@@ -62,7 +62,7 @@ def _function(module, name):
     # the grid kernel scans int value tables as int bitsets
     *(pytest.param("cones", fn, id=f"cones.{fn}")
       for fn in ("_value_tables", "_tail", "_value_sets", "_walls", "_scan",
-                 "_cell", "_cells", "_first_tight", "_grid_scan")),
+                 "_cell", "_cells", "_grid_scan")),
     # the set bits that the grid kernel and the integrals walk
     pytest.param("linalg", "set_bits", id="linalg.set_bits"),
 ])
@@ -160,7 +160,6 @@ KEPT_UNREACHED = {
     ("schubert", "chevalley_multiply"): "Chevalley rule over the covers",
     # inequality-system I/O, until a membership --system option reads it
     ("cones", "system_from_json"): "waits on membership --system FILE",
-    ("cones", "IneqSystem.dumps"): "waits on membership --system FILE",
 }
 
 

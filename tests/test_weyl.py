@@ -14,6 +14,7 @@ from eigencones.weyl import (
     ParabolicSpec,
     WeylElement,
     _canonical_word,
+    coset_images,
     coset_table,
     dual_rep,
     embed_element,
@@ -500,6 +501,26 @@ def test_dual_commutes_g2_in_f4():
         report = verify_dual_commutes(E, q)
         assert report["all_commute"]
         assert len(report["rows"]) == 6
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_dual_commutes_rows_match_the_coset_images(q):
+    # one builder feeds the report: each row's embed(dual_Q w) is the image
+    # of the row whose w is dual_Q w, which a second embedding reproduces
+    E = build_embedding("g2-in-f4")
+    Q = ParabolicSpec(E.sub, q)
+    P, rows = coset_images(E, q)
+    assert P == ParabolicSpec(E.ambient, E.matched_parabolic(q))
+    assert [w for w, *_ in rows] == list(minimal_coset_reps(E.sub, Q))
+    expected = []
+    for w, dual, img, img_dual in rows:
+        assert dual == dual_rep(w, Q)
+        assert img == embed_element(E, w, minimize_into=P)
+        assert img_dual == dual_rep(img, P)
+        lhs = embed_element(E, dual, minimize_into=P)
+        expected.append({"w": word_str(w), "embed_dual": word_str(lhs),
+                         "dual_embed": word_str(img_dual), "commutes": lhs == img_dual})
+    assert verify_dual_commutes(E, q)["rows"] == expected
 
 
 def test_embed_wrong_root_system():
