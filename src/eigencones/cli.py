@@ -259,7 +259,13 @@ def cmd_thm_main(args):
 def cmd_thm_proj(args):
     from .cones import verify_projection
 
-    return _verdict(args, verify_projection(args.r, args.s, args.n, kind=args.group or "C"))
+    r = verify_projection(args.r, args.s, args.n, kind=args.group or "C")
+    return _verdict(args, r, [
+        f"  {r['kind']} r={r['r']} s={r['s']} n={r['n']} grid 0..{r['grid_top']}",
+        f"  walls: ambient {r['ambient_inequalities']}, sub {r['sub_inequalities']}",
+        f"  grid members {r['grid_members']}, violations {len(r['violations'])}",
+        f"  section identity {r['section_identity']}, invariance checks {r['invariance_checks']}",
+    ])
 
 
 def _g2f4_tables():

@@ -29,7 +29,7 @@ from .rootsys import (
     restrict_weight_via_embedding,
     weight_coords,
 )
-from .schubert import check_tuple_work, flag_variety, graded_counts, point_product_tuples
+from .schubert import TIERS, check_tuple_work, flag_variety, graded_counts, point_product_tuples
 from .weyl import (
     ParabolicSpec,
     embed_element,
@@ -38,7 +38,6 @@ from .weyl import (
     word_str,
 )
 
-TIERS = ("nonzero", "point", "levi")
 GRID_TOP = 3          # verify_projection scans fw coordinates 0..GRID_TOP
 GRID_CAP_EXPONENT = 12  # the grid has (GRID_TOP + 1) ** (r * n) cells
 
@@ -149,22 +148,18 @@ def _primitive(slots):
 def generate_inequalities(R: RootSystem, n, tier):
     """The tier's inequality system over all maximal parabolics of R.
 
-    tier "nonzero" takes every product m [pt] with m >= 1; "point"
-    restricts to m = 1; "levi" additionally requires Levi-movability.
+    One inequality per wall of point_product_tuples' tier, deduplicated.
     Deterministic order: parabolic ascending, then tuple enumeration order.
     """
     if tier not in TIERS:
         raise UsageError(f"tier must be one of {TIERS}")
     if n < 1:
         raise UsageError("n must be >= 1")
-    filter = "levi" if tier == "levi" else "point"
     check_tuple_work(R, range(1, R.rank + 1), n)
     varieties = [flag_variety(R, p) for p in range(1, R.rank + 1)]
     seen = {}
     for p, F in enumerate(varieties, 1):
-        for pt in point_product_tuples(F, n, filter=filter):
-            if tier in ("point", "levi") and pt.multiplicity != 1:
-                continue
+        for pt in point_product_tuples(F, n, tier):
             normals, scale = _primitive(_raw_normals(F, pt.elements))
             q = Inequality(
                 parabolic=p,
@@ -300,9 +295,7 @@ def verify_subeigencone(case, params, n):
     for (q, p), (FM, FG) in zip(E.parabolic_map, pairs):
         rows = []
         pair_ok = True
-        for pt in point_product_tuples(FM, n, filter="levi"):
-            if pt.multiplicity != 1:
-                continue
+        for pt in point_product_tuples(FM, n, "levi"):
             ambient = tuple(
                 embed_element(E, w, minimize_into=FG.parabolic) for w in pt.elements
             )

@@ -15,10 +15,11 @@ sum_{i<=k} e_i^* of the paper is _eps_form(F) times x_k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import UsageError, VerificationError
 from .rootsys import build_embedding, build_root_system
-from .schubert import FlagVariety, flag_variety
+from .schubert import FlagVariety, flag_variety, point_product_tuples
 from .weyl import ParabolicSpec, embed_element, word_str, word_to_element
 
 
@@ -181,17 +182,17 @@ def expected_dim_zero_check(ws, r, s, k):
     """The three theta numbers, expected dimensions, and the two lemmas.
 
     ws is a tuple of minimal representatives of W_M^Q for M = Sp(2s),
-    Q = P_k.  theta^H is computed over SO(2s+1)/P_k, whose Coxeter system
-    matches M's, so the same words index both sides.  All three thetas are
+    Q = P_k.  theta^H is computed over SO(2s+1)/P_k, whose classes
+    bc_transfer matches to M's by their words.  All three thetas are
     evaluated against sum_{i<=k} e_i^*.
     """
     FM = flag_variety(build_root_system("C", s), k)
-    FH = flag_variety(build_root_system("B", s), k) if s >= 2 else _b1_variety(k)
+    FH, c_to_b = bc_transfer(FM)
     FG = flag_variety(build_root_system("C", r), k)
     for w in ws:
         if w not in FM.index:
             raise UsageError("tuple element is not a minimal rep of M/Q")
-    ws_H = tuple(word_to_element(FH.root_system, w.word) for w in ws)
+    ws_H = tuple(c_to_b[w] for w in ws)
     lifted = lift_elements(ws, r, s, k)
 
     theta_M = _eps_form(FM) * FM.theta(ws)
@@ -220,13 +221,6 @@ def expected_dim_zero_check(ws, r, s, k):
         if theta_G != 0 or e_G != 0:
             raise VerificationError(f"Levi-movable unit tuple with nonzero ambient data: {report}")
     return report
-
-
-def _b1_variety(k):
-    # SO(3)/P_1; its Coxeter data matches Sp(2)/P_1
-    if k != 1:
-        raise UsageError("rank-1 case has a single parabolic")
-    return flag_variety(build_root_system("B", 1), 1)
 
 
 # -- orbit dimensions (s = r-1) ---------------------------------------------
@@ -271,6 +265,7 @@ def properness_identity(index_sets, k, r):
 # -- B/C transfer ------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def bc_transfer(F_C: FlagVariety):
     """The SO(2r+1) flag variety matched to an Sp(2r) one, plus the basis map.
 
@@ -300,22 +295,15 @@ def bc_point_products_agree(F_C: FlagVariety, n=3):
     a matched product fails to be 1 [pt] and Levi-movable, or if the two
     sides disagree as word tuples.
     """
-    from .schubert import point_product_tuples
-
     F_B, c_to_b = bc_transfer(F_C)
     c_units = set()
-    for pt in point_product_tuples(F_C, n, filter="levi"):
-        if pt.multiplicity == 1:
-            c_units.add(pt.words)
-            matched = tuple(c_to_b[w] for w in pt.elements)
-            movable, m = F_B.is_levi_movable(matched)
-            if not (movable and m == 1):
-                raise VerificationError(f"B-side product fails at {pt.words}: m={m}")
-    b_units = {
-        pt.words
-        for pt in point_product_tuples(F_B, n, filter="levi")
-        if pt.multiplicity == 1
-    }
+    for pt in point_product_tuples(F_C, n, "levi"):
+        c_units.add(pt.words)
+        matched = tuple(c_to_b[w] for w in pt.elements)
+        movable, m = F_B.is_levi_movable(matched)
+        if not (movable and m == 1):
+            raise VerificationError(f"B-side product fails at {pt.words}: m={m}")
+    b_units = {pt.words for pt in point_product_tuples(F_B, n, "levi")}
     if c_units != b_units:
         raise VerificationError("unit Levi tuples differ across the B/C correspondence")
     return len(c_units)

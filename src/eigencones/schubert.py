@@ -21,6 +21,9 @@ system's int inverse Cartan matrix.  Nothing here is a Fraction.
 chevalley_multiply reads the recursion's covers; the tests check both
 against Billey's formula.  A run is priced before any variety is built:
 the graded piece sizes N_c are read off the lengths of the omega_P walk.
+The tuple stream yields one tier's walls and reads theta before the
+integral; theta >= 0 on every nonzero product (Belkale-Kumar 2006), so
+m > 0 with theta < 0 is a VerificationError wherever m is known.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .rootsys import RootSystem, Weight
 from .weyl import (ParabolicSpec, dual_rep, minimal_coset_reps, parabolic_walk,
                    root_reflection, word_str)
 
+TIERS = ("nonzero", "point", "levi")
 GRADED_PIECE_CAP = 30
 WORK_CAP = 3_000_000  # slot evaluations (graded tuples x n) of one tuple stream
 _COUNT_CEILING = 10**18  # graded_tuple_count saturates here
@@ -181,10 +185,16 @@ class FlagVariety:
     # -- products ---------------------------------------------------------
 
     def point_multiplicity(self, ws):
-        """m with sigma_{w1}...sigma_{wn} = m [pt]; requires codim sum = dim."""
+        """m with sigma_{w1}...sigma_{wn} = m [pt]; requires codim sum = dim.
+        theta >= 0 on a nonzero product, so m > 0 with theta < 0 is refused."""
         if sum(self.codim(w) for w in ws) != self.dim:
             raise UsageError("codimensions do not sum to dim")
-        return self.integral_billey(tuple(self._dual[w] for w in ws))
+        m = self.integral_billey(tuple(self._dual[w] for w in ws))
+        if m > 0 and self.theta(ws) < 0:
+            raise VerificationError(
+                f"{self.label}: theta < 0 on a nonzero point product {tuple(map(word_str, ws))}"
+            )
+        return m
 
     def cup_product(self, u, v):
         if u not in self.index or v not in self.index:
@@ -251,12 +261,7 @@ class FlagVariety:
     def is_levi_movable(self, ws):
         """(flag, m): nonzero point multiple with theta = 0."""
         m = self.point_multiplicity(ws)
-        th = self.theta(ws)
-        if m > 0 and th < 0:
-            raise VerificationError(
-                f"{self.label}: theta < 0 on a nonzero point product {tuple(map(word_str, ws))}"
-            )
-        return (m > 0 and th == 0), m
+        return (m > 0 and self.theta(ws) == 0), m
 
 
 @dataclass(frozen=True)
@@ -324,21 +329,26 @@ class PointTuple:
         return tuple(word_str(w) for w in self.elements)
 
 
-def point_product_tuples(F, n, filter="point"):
-    """Ordered tuples (w1..wn) in (W^P)^n with codim sum = dim, filtered.
+def point_product_tuples(F, n, tier):
+    """The tier's walls: tuples (w1..wn) in (W^P)^n with codim sum dim and
+    sigma_{w1}...sigma_{wn} = m [pt], in lexicographic order of basis index.
 
-    filter: "all" emits every grading-compatible tuple; "point" keeps
-    nonzero products m [pt]; "levi" additionally keeps theta = 0.
-    Canonical lexicographic order over the basis index.
+    tier "nonzero" keeps m != 0, "point" m = 1 and "levi" m = 1 with theta = 0.
+    theta, a sum of cached per-class ints, is read first, and the levi tier
+    runs the integral only where theta <= 0.
     """
     if n < 1:
         raise UsageError("n must be >= 1")
-    if filter not in ("all", "point", "levi"):
-        raise UsageError(f"unknown filter {filter!r}")
+    if tier not in TIERS:
+        raise UsageError(f"tier must be one of {TIERS}")
     check_tuple_work(F.root_system, [F.parabolic.excluded], n)
+    levi = tier == "levi"
     for ws in _graded_tuples(F, n):
-        m, th = F.point_multiplicity(ws), F.theta(ws)
-        if (filter == "all" or m != 0) and (filter != "levi" or th == 0):
+        th = F.theta(ws)
+        if levi and th > 0:
+            continue
+        m = F.point_multiplicity(ws)
+        if (m != 0 if tier == "nonzero" else m == 1) and not (levi and th):
             yield PointTuple(ws, m, th)
 
 

@@ -32,6 +32,7 @@ from eigencones.oracle import invariant_dim, saturated_search
 from eigencones.rootsys import build_root_system
 from eigencones.schubert import (
     CohomClass,
+    _graded_tuples,
     flag_variety,
     point_product_tuples,
 )
@@ -100,11 +101,7 @@ def test_criterion_1_table_reproduction():
 def sub_unit_levi_tuples(s, k, n=3):
     """Unit-multiplicity Levi-movable tuples over IG(k,2s), as elements."""
     FM = flag_variety(build_root_system("C", s), k)
-    return tuple(
-        pt.elements
-        for pt in point_product_tuples(FM, n, filter="levi")
-        if pt.multiplicity == 1
-    )
+    return tuple(pt.elements for pt in point_product_tuples(FM, n, "levi"))
 
 
 def test_criterion_2_subeigencone_lifts():
@@ -170,8 +167,8 @@ def test_criterion_4_identity_suite():
     for r, s in [(2, 1), (3, 1), (3, 2)]:
         for k in range(1, s + 1):
             FM = flag_variety(build_root_system("C", s), k)
-            for pt in point_product_tuples(FM, 3, filter="all"):
-                expected_dim_zero_check(pt.elements, r, s, k)
+            for ws in _graded_tuples(FM, 3):
+                expected_dim_zero_check(ws, r, s, k)
                 checked_tuples += 1
 
     # random tuples at r = 4 (the lemmas hold without any grading condition)
@@ -291,9 +288,9 @@ def test_criterion_8_ring_sanity(kind, rank, p):
         assert lhs.coeffs == rhs.coeffs
 
     # BK inequality on every nonzero point product of pairs
-    for pt in point_product_tuples(F, 2, filter="point"):
+    for pt in point_product_tuples(F, 2, "nonzero"):
         assert pt.theta >= 0
     if rank == 2:
-        for pt in point_product_tuples(F, 3, filter="point"):
+        for pt in point_product_tuples(F, 3, "nonzero"):
             assert pt.theta >= 0
     print(f"criterion 8 [{kind}{rank}/P{p}]: PASS")

@@ -328,6 +328,18 @@ def test_inequalities_c5_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == C5_N3_SHA256
 
 
+# recorded before the levi stream read theta before the integral; guards the
+# levi stream on a simply-laced group of rank 5
+D5_N3_SHA256 = "3494834fe17d3826c3409a561f10e0fc0f5b011a92a5fe5ec1ccbe9835ddb6de"
+D5_N3_BYTES = 1_035_882
+
+
+def test_inequalities_d5_report_is_pinned(capsys):
+    code, out, _ = run(capsys, "inequalities", "--group", "D5", "--n", "3")
+    assert (code, len(out.encode())) == (0, D5_N3_BYTES)
+    assert hashlib.sha256(out.encode()).hexdigest() == D5_N3_SHA256
+
+
 def test_membership_exit_codes(capsys):
     code, out, _ = run(capsys, "membership", "--group", "A1", "--n", "3",
                        "--weights", "1,1,2")
@@ -470,6 +482,23 @@ def test_verify_thm_proj(capsys):
     doc = json.loads(out)
     assert doc["report"]["ok"]
     assert doc["report"]["violations"] == []
+
+
+def test_verify_thm_proj_table_says_what_it_checked(capsys):
+    c = run(capsys, "verify", "thm-proj", "--r", "3", "--s", "2", "--format", "table")
+    b = run(capsys, "verify", "thm-proj", "--r", "3", "--s", "1", "--group", "B",
+            "--format", "table")
+    assert c != b
+    assert c == (0, "thm-proj: ok\n"
+                    "  C r=3 s=2 n=3 grid 0..3\n"
+                    "  walls: ambient 93, sub 18\n"
+                    "  grid members 165802, violations 0\n"
+                    "  section identity True, invariance checks 24\n", "")
+    assert b == (0, "thm-proj: ok\n"
+                    "  B r=3 s=1 n=3 grid 0..3\n"
+                    "  walls: ambient 93, sub 3\n"
+                    "  grid members 158626, violations 0\n"
+                    "  section identity True, invariance checks 28\n", "")
 
 
 # recorded from the row-by-row grid kernel that the one-inequality-at-a-time

@@ -28,7 +28,7 @@ from eigencones.isogr import (
     weyl_index_bijection,
 )
 from eigencones.rootsys import build_root_system
-from eigencones.schubert import flag_variety, point_product_tuples
+from eigencones.schubert import _graded_tuples, flag_variety, point_product_tuples
 from eigencones.weyl import WeylElement, identity, word_str
 from epsilon import ambient, apply_eps
 from test_weyl import is_minimal_rep
@@ -175,8 +175,8 @@ def test_expected_dim_lemmas_exhaustive(r, s, k):
     # checks are assertions inside expected_dim_zero_check
     FM = FC(s, k)
     count = 0
-    for pt in point_product_tuples(FM, 3, filter="all"):
-        rep = expected_dim_zero_check(pt.elements, r, s, k)
+    for ws in _graded_tuples(FM, 3):
+        rep = expected_dim_zero_check(ws, r, s, k)
         assert (rep["theta"] - rep["theta_M"]) % (2 * (r - s)) == 0
         count += 1
     assert count > 0
@@ -222,9 +222,7 @@ def test_properness_identity_exhaustive(k):
     FM = FC(2, k)
     to_index, _ = weyl_index_bijection(FM)
     checked = 0
-    for pt in point_product_tuples(FM, 3, filter="levi"):
-        if pt.multiplicity != 1:
-            continue
+    for pt in point_product_tuples(FM, 3, "levi"):
         Is = tuple(to_index[w] for w in pt.elements)
         assert properness_identity(Is, k, r) == 0
         checked += 1

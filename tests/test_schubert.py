@@ -10,8 +10,10 @@ from eigencones.errors import ResourceCapError, UsageError, VerificationError
 from eigencones.oracle import invariant_dim
 from eigencones.rootsys import Weight, build_root_system
 from eigencones.schubert import (
+    TIERS,
     CohomClass,
     FlagVariety,
+    PointTuple,
     _graded_tuples,
     check_tuple_work,
     chevalley_multiply,
@@ -204,7 +206,7 @@ def test_theta_trivial_tuples():
 
 def test_a1_point_tuples():
     FA = F("A", 1, 1)
-    tuples = list(point_product_tuples(FA, 3, filter="point"))
+    tuples = list(point_product_tuples(FA, 3, "point"))
     words = {pt.words for pt in tuples}
     assert words == {("e", "1", "1"), ("1", "e", "1"), ("1", "1", "e")}
     for pt in tuples:
@@ -224,17 +226,19 @@ def test_a2_p1_levi_triple():
 def test_g2_q2_levi_pairs():
     FA = F("G2", 2, 2)
     P = FA.parabolic
-    pairs = list(point_product_tuples(FA, 2, filter="levi"))
+    pairs = list(point_product_tuples(FA, 2, "levi"))
     assert len(pairs) == 6
     for pt in pairs:
         u, v = pt.elements
         assert v == dual_rep(u, P)
-        assert pt.multiplicity == 1
+    # every nonzero theta = 0 pair is already a unit product
+    flat = [pt for pt in point_product_tuples(FA, 2, "nonzero") if pt.theta == 0]
+    assert flat == pairs
 
 
 def test_n1_tuple_stream():
     FA = F("C", 2, 2)
-    tuples = list(point_product_tuples(FA, 1, filter="point"))
+    tuples = list(point_product_tuples(FA, 1, "point"))
     assert len(tuples) == 1
     assert tuples[0].words == ("e",)
 
@@ -242,19 +246,15 @@ def test_n1_tuple_stream():
 def test_bk_inequality_on_point_products():
     for kind, rank, p in [("C", 2, 1), ("C", 2, 2), ("G2", 2, 1), ("G2", 2, 2)]:
         FA = F(kind, rank, p)
-        for pt in point_product_tuples(FA, 3, filter="point"):
+        for pt in point_product_tuples(FA, 3, "nonzero"):
             assert pt.theta >= 0
 
 
-def test_levi_filter_refines_point_filter():
+def test_levi_tier_refines_point_tier():
     FA = F("C", 2, 1)
-    point = {pt.words for pt in point_product_tuples(FA, 3, filter="point")}
-    levi = {pt.words for pt in point_product_tuples(FA, 3, filter="levi")}
-    assert levi <= point
-    all_graded = {
-        pt.words for pt in point_product_tuples(FA, 3, filter="all")
-    }
-    assert point <= all_graded
+    nonzero, point, levi = (
+        {pt.elements for pt in point_product_tuples(FA, 3, tier)} for tier in TIERS)
+    assert levi <= point <= nonzero <= set(_graded_tuples(FA, 3))
 
 
 def _no_integral(*args):
@@ -268,7 +268,7 @@ def test_tuple_cap(monkeypatch):
     monkeypatch.setattr("eigencones.schubert.WORK_CAP", 368)
     with pytest.raises(ResourceCapError, match=r"^C3/P2 has 123 graded 3-tuples, and "
                                                r"tuples x n is over the cap 368$"):
-        next(point_product_tuples(FA, 3, filter="all"))
+        next(point_product_tuples(FA, 3, "nonzero"))
 
 
 def test_graded_piece_cap_comes_before_the_duals(monkeypatch):
@@ -332,17 +332,74 @@ def test_tuple_count_saturates_at_a_huge_n():
 
 def test_tuple_stream_deterministic():
     FA = F("B", 2, 1)
-    a = [pt.words for pt in point_product_tuples(FA, 3, filter="levi")]
-    b = [pt.words for pt in point_product_tuples(FA, 3, filter="levi")]
+    a = [pt.words for pt in point_product_tuples(FA, 3, "levi")]
+    b = [pt.words for pt in point_product_tuples(FA, 3, "levi")]
     assert a == b
 
 
-def test_bad_filter_and_n():
+def test_bad_tier_and_n():
     FA = F("A", 1, 1)
     with pytest.raises(UsageError):
-        list(point_product_tuples(FA, 0))
-    with pytest.raises(UsageError):
-        list(point_product_tuples(FA, 2, filter="bogus"))
+        list(point_product_tuples(FA, 0, "point"))
+    with pytest.raises(UsageError, match=r"^tier must be one of "
+                                         r"\('nonzero', 'point', 'levi'\)$"):
+        list(point_product_tuples(FA, 2, "bogus"))
+
+
+def reference_stream(F, n, tier):
+    """The stream as it was: m and theta on every graded tuple, kept by the old
+    filters (m != 0, and theta = 0 on the levi tier), then m = 1 past nonzero."""
+    for ws in _graded_tuples(F, n):
+        m, th = F.point_multiplicity(ws), F.theta(ws)
+        if m != 0 and (tier != "levi" or th == 0) and (tier == "nonzero" or m == 1):
+            yield PointTuple(ws, m, th)
+
+
+STREAM_CASES = [
+    *((label, n, TIERS) for label in ("G2", "A2", "A3", "B2", "B3", "C2", "C3")
+      for n in (2, 3, 4) if n < 4 or label.endswith("2")),
+    ("D4", 3, ("point",)), ("C4", 3, TIERS), ("B4", 3, TIERS),
+]
+
+
+@pytest.mark.parametrize("label,n,tiers", STREAM_CASES,
+                         ids=[f"{label}-n{n}" for label, n, _ in STREAM_CASES])
+def test_stream_matches_the_reference_stream(label, n, tiers):
+    R = build_root_system(label if label == "G2" else label[0], int(label[1]))
+    for p in range(1, R.rank + 1):
+        FA = flag_variety(R, p)
+        for tier in tiers:
+            assert list(point_product_tuples(FA, n, tier)) == \
+                list(reference_stream(FA, n, tier)), (FA.label, tier)
+
+
+def test_levi_stream_integrates_only_where_theta_is_not_positive(monkeypatch):
+    # C4 has 2,178 graded triples; 1,061 of them have theta <= 0
+    calls = []
+    integrate = FlagVariety.point_multiplicity
+
+    def counted(self, ws):
+        calls.append(ws)
+        return integrate(self, ws)
+
+    monkeypatch.setattr(FlagVariety, "point_multiplicity", counted)
+    R = build_root_system("C", 4)
+    for p in range(1, 5):
+        list(point_product_tuples(flag_variety(R, p), 3, "levi"))
+    assert len(calls) == 1061
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_negative_theta_on_a_nonzero_product_is_refused(tier, monkeypatch):
+    FA = F("C", 2, 1)
+    top = FA.basis[-1]
+    target = (FA.point_element(), top, top)  # the unit product 1 [pt]
+    theta = FlagVariety.theta
+    monkeypatch.setattr(FlagVariety, "theta",
+                        lambda self, ws: -1 if ws == target else theta(self, ws))
+    with pytest.raises(VerificationError, match=r"^C2/P1: theta < 0 on a nonzero "
+                                                r"point product \('e', '121', '121'\)$"):
+        list(point_product_tuples(FA, 3, tier))
 
 
 def test_cup_product_rejects_foreign_elements():
