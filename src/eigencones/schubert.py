@@ -15,9 +15,12 @@ filled from the longest class down with one exact int division per entry,
 and are kept by basis position with a bitset of the fixed points v >= w where
 sigma_w is non-zero.  An integral is an int sum over the common support of
 terms scaled by E / e_v, for E the lcm of the Euler factors e_v, divided once
-by E, and a remainder is a VerificationError.  theta sums one cached int
-chi_w(x_P) per class, the alpha_P-coefficient of chi_w read off the root
-system's int inverse Cartan matrix.  Nothing here is a Fraction.
+by E, and a remainder is a VerificationError.  theta sums one int
+chi_w(x_P) per class, tabled when the variety is built and read off the
+orbit point x = w omega_P: chi_e(x_P) - 2 (rho, omega_P - x) / (alpha_P,
+alpha_P) on the int weight Gram matrix, one exact division checked against
+the alpha_P-coefficients of the outside roots that w keeps positive.
+Nothing here is a Fraction.
 chevalley_multiply reads the recursion's covers; the tests check both
 against Billey's formula.  A run is priced before any variety is built:
 the graded piece sizes N_c are read off the lengths of the omega_P walk.
@@ -35,9 +38,9 @@ from operator import and_, mul, or_
 
 from .errors import ResourceCapError, UsageError, VerificationError
 from .linalg import set_bits
-from .rootsys import RootSystem, Weight
-from .weyl import (ParabolicSpec, dual_rep, minimal_coset_reps, parabolic_walk,
-                   root_reflection, word_str)
+from .rootsys import RootSystem
+from .weyl import (ParabolicSpec, _is_positive, dual_rep, minimal_coset_reps,
+                   parabolic_walk, root_reflection, word_str)
 
 TIERS = ("nonzero", "point", "levi")
 GRADED_PIECE_CAP = 30
@@ -62,17 +65,33 @@ class FlagVariety:
         self._dual = {w: dual_rep(w, self.parabolic) for w in self.basis}
         # positive roots beta outside the Levi: int fw coordinates,
         # <omega_P, beta^vee> and the reflection r_beta
-        outside = [k for k, a in enumerate(R.root_alpha) if a[excluded - 1]]
-        levi = [fw for k, fw in enumerate(R.root_fw) if k not in outside]
+        p = excluded - 1
+        outside = [k for k, a in enumerate(R.root_alpha) if a[p]]
         self._outside_fw = tuple(R.root_fw[k] for k in outside)
-        self._outside_mult = tuple(R.root_coroot[k][excluded - 1] for k in outside)
+        self._outside_mult = tuple(R.root_coroot[k][p] for k in outside)
         self._outside_reflections = tuple(root_reflection(R, k) for k in outside)
-        self._positive_fw = frozenset(R.root_fw)
-        self._levi_sum = tuple(map(sum, zip((0,) * R.rank, *levi)))  # 2 rho^L
+        # chi_w(x_P) = chi_e(x_P) - 2 (rho, omega_P - x) / (alpha_P, alpha_P) at
+        # the orbit point x = w omega_P, checked against its definition: the
+        # alpha_P-coefficients of the outside roots that w keeps positive
+        G, alpha_P = R.weight_gram, R.cartan_matrix[p]
+        rho_G = tuple(map(sum, G))  # (rho, omega_j) for rho = (1, ..., 1)
+        norm = sum(a * sum(map(mul, row, alpha_P)) for a, row in zip(alpha_P, G))
+        coeffs = [R.root_alpha[k][p] for k in outside]
+        chi_e = sum(coeffs)
+        self._chi = {}
+        for w in self.basis:
+            x = (row[p] for row in w.matrix)
+            shift, remainder = divmod(2 * (rho_G[p] - sum(map(mul, rho_G, x))), norm)
+            h = w._height_row()
+            kept = sum(c for c, b in zip(coeffs, self._outside_fw) if _is_positive(h, b))
+            if remainder:
+                raise VerificationError(f"{self.label}: chi_w(x_P) is not an integer "
+                                        f"at {word_str(w)}")
+            if chi_e - shift != kept:
+                raise VerificationError(f"{self.label}: chi definitions disagree at {word_str(w)}")
+            self._chi[w] = kept
         self._covers = {}
         self._tables = None
-        self._chi = {}
-        self._chi_xP = {}
         self._pair_cache = {}
 
     # -- plumbing ---------------------------------------------------------
@@ -224,34 +243,11 @@ class FlagVariety:
 
     # -- chi / theta ------------------------------------------------------
 
-    def chi_weight(self, w) -> Weight:
-        if w in self._chi:
-            return self._chi[w]
-        if w not in self.index:
-            raise UsageError("not a minimal coset representative of this variety")
-        R = self.root_system
-        kept = [b for b in self._outside_fw if w.apply_fw(b) in self._positive_fw]
-        total = tuple(map(sum, zip((0,) * R.rank, *kept)))
-        # cross-check against rho - 2 rho^L + w^{-1} rho, with rho = (1, ..., 1)
-        w_rho = w.inverse().apply_fw((1,) * R.rank)
-        if total != tuple(1 - l + x for l, x in zip(self._levi_sum, w_rho)):
-            raise VerificationError(f"{self.label}: chi definitions disagree at {word_str(w)}")
-        out = Weight(R, total)
-        self._chi[w] = out
-        return out
-
     def chi_at_xP(self, w):
         """chi_w(x_P), an int per class: the alpha_P-coefficient of the root sum chi_w."""
-        if w not in self._chi_xP:
-            R, p = self.root_system, self.parabolic.excluded - 1
-            coords = self.chi_weight(w).coords
-            scaled = sum(c * row[p] for c, row in zip(coords, R.cartan_inverse))
-            val, remainder = divmod(scaled, R.inverse_scale)
-            if remainder:
-                raise VerificationError(f"{self.label}: chi_w(x_P) is not an integer "
-                                        f"at {word_str(w)}")
-            self._chi_xP[w] = val
-        return self._chi_xP[w]
+        if w not in self._chi:
+            raise UsageError("not a minimal coset representative of this variety")
+        return self._chi[w]
 
     def theta(self, ws):
         # chi_e is the full root sum; chi is additive over the slots

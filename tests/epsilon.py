@@ -56,3 +56,21 @@ def root_index(R, v):
 
 def is_positive_root(R, v):
     return tuple(v) in _positions(R)
+
+
+def chi_root_sum(F, w):
+    """chi_w in epsilon coordinates: the sum of the positive roots outside
+    the Levi of F's parabolic that w keeps positive."""
+    R, p = F.root_system, F.parabolic.excluded - 1
+    total = (0,) * R.ambient_dim
+    for beta in R.positive_roots:
+        if alpha_coords(R, beta)[p] and is_positive_root(R, apply_eps(w, beta)):
+            total = tuple(a + b for a, b in zip(total, beta))
+    return total
+
+
+def chi_coefficient(F, w):
+    """The alpha_P-coefficient of chi_root_sum(F, w), an int."""
+    val = alpha_coords(F.root_system, chi_root_sum(F, w))[F.parabolic.excluded - 1]
+    assert val.denominator == 1
+    return int(val)

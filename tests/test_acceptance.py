@@ -37,7 +37,7 @@ from eigencones.schubert import (
     point_product_tuples,
 )
 from eigencones.weyl import ParabolicSpec, dual_rep, word_to_element
-from epsilon import ambient
+from epsilon import chi_coefficient, chi_root_sum
 
 # printed coset tables for the exceptional embedding, as (w, value) pairs;
 # comparison is at element level after canonical re-reduction
@@ -157,9 +157,10 @@ def test_criterion_4_identity_suite():
                 codim_jump_cross_check(I_M, r, k)
                 # bc_delta against the actual B/C character difference
                 wb = word_to_element(FH.root_system, w.word)
-                diff = sum(ambient(FM.chi_weight(w))[:k]) \
-                    - sum(ambient(FH.chi_weight(wb))[:k])
+                diff = sum(chi_root_sum(FM, w)[:k]) - sum(chi_root_sum(FH, wb)[:k])
                 assert diff == bc_delta(I_M, s, k)
+                assert FM.chi_at_xP(w) == chi_coefficient(FM, w)
+                assert FH.chi_at_xP(wb) == chi_coefficient(FH, wb)
                 checked_cells += 1
 
     # both expected-dimension lemmas on every n = 3 tuple, r <= 3

@@ -20,7 +20,7 @@ import eigencones
 from eigencones.cache import JsonlStore
 from eigencones.cli import build_parser, main
 from eigencones.rootsys import build_root_system
-from eigencones.schubert import FlagVariety, flag_variety
+from eigencones.schubert import TIERS, FlagVariety, flag_variety
 from eigencones.weyl import WeylElement, word_str
 
 
@@ -810,6 +810,15 @@ def test_each_command_accepts_exactly_its_options():
     for command, parser in leaves.items():
         flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
         assert flags == set(COMMANDS[command]), command
+
+
+@pytest.mark.parametrize("command", ["inequalities", "membership"])
+def test_the_tier_choices_are_the_stream_tiers(command):
+    # cli spells the tiers itself so that a cosets run never imports schubert;
+    # a tier added to one list and not the other fails here
+    (action,) = [a for a in _leaf_parsers(build_parser())[(command,)]._actions
+                 if "--tier" in a.option_strings]
+    assert tuple(action.choices) == TIERS
 
 
 # a command line each (command, target) runs, given its required options

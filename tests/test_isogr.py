@@ -30,7 +30,7 @@ from eigencones.isogr import (
 from eigencones.rootsys import build_root_system
 from eigencones.schubert import _graded_tuples, flag_variety, point_product_tuples
 from eigencones.weyl import WeylElement, identity, word_str
-from epsilon import ambient, apply_eps
+from epsilon import apply_eps, chi_coefficient, chi_root_sum
 from test_weyl import is_minimal_rep
 
 
@@ -299,8 +299,9 @@ def test_eps_form_times_the_chi_scalar_is_the_epsilon_sum(kind, s):
     for k in range(1, s + 1):
         F = flag_variety(build_root_system(kind, s), k)
         for w in F.basis:
-            eps_sum = sum(ambient(F.chi_weight(w))[:k])
+            eps_sum = sum(chi_root_sum(F, w)[:k])
             assert eps_sum == isogr._eps_form(F) * F.chi_at_xP(w), (k, word_str(w))
+            assert F.chi_at_xP(w) == chi_coefficient(F, w), (k, word_str(w))
 
 
 def reference_index_set(w, k):

@@ -1,14 +1,16 @@
 """Cup products, chi characters, theta, Levi-movability, tuple streams."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from eigencones import schubert
 from eigencones.errors import ResourceCapError, UsageError, VerificationError
 from eigencones.oracle import invariant_dim
-from eigencones.rootsys import Weight, build_root_system
+from eigencones.rootsys import build_root_system
 from eigencones.schubert import (
     TIERS,
     CohomClass,
@@ -31,7 +33,7 @@ from eigencones.weyl import (
     word_to_element,
 )
 
-from epsilon import alpha_coords, ambient, apply_eps, fw_to_alpha, is_positive_root
+from epsilon import alpha_coords, apply_eps, chi_coefficient, chi_root_sum
 
 
 def F(kind, rank, p):
@@ -162,37 +164,121 @@ def test_chi_identity_and_top():
     for kind, rank, p in [("C", 3, 1), ("G2", 2, 2), ("F4", 4, 4)]:
         FA = F(kind, rank, p)
         R = FA.root_system
-        chi_e = FA.chi_weight(identity(R))
+        e, top = identity(R), FA.basis[-1]
         # chi_e = 2(rho - rho^L) = 2 rho - (the sum of the Levi's positive roots)
         levi = [b for b in R.positive_roots if alpha_coords(R, b)[p - 1] == 0]
         expected = tuple(2 * r - sum(c) for r, *c in zip(R.rho, *levi))
-        assert ambient(chi_e) == expected
-        top = FA.basis[-1]
-        assert all(c == 0 for c in FA.chi_weight(top).coords)
+        assert chi_root_sum(FA, e) == expected
+        assert FA.chi_at_xP(e) == alpha_coords(R, expected)[p - 1]
+        assert all(c == 0 for c in chi_root_sum(FA, top))
+        assert FA.chi_at_xP(top) == 0
 
 
 def test_chi_a2_p1():
     FA = flag_variety(build_root_system("A", 2), 1)
     R = FA.root_system
-    chi = FA.chi_weight(word_to_element(R, "1"))
+    w = word_to_element(R, "1")
     a1, a2 = R.simple_roots
-    assert ambient(chi) == tuple(x + y for x, y in zip(a1, a2))
+    assert chi_root_sum(FA, w) == tuple(x + y for x, y in zip(a1, a2))
+    assert FA.chi_at_xP(w) == 1
 
 
 def test_chi_cross_check_root_sum():
-    # chi_w = sum of roots in (R+ \ R_L+) kept positive by w; the
-    # implementation uses the rho form, recompute the root sum independently
+    # chi_w = sum of roots in (R+ \ R_L+) kept positive by w; the table reads
+    # the orbit point, the reference the epsilon root sum
     for kind, rank, p in [("C", 2, 1), ("C", 2, 2), ("G2", 2, 1), ("B", 3, 2)]:
         FA = F(kind, rank, p)
-        R = FA.root_system
         for w in FA.basis:
-            total = tuple(0 for _ in range(R.ambient_dim))
-            for beta in R.positive_roots:
-                if alpha_coords(R, beta)[p - 1] == 0:  # Levi root
-                    continue
-                if is_positive_root(R, apply_eps(w, beta)):
-                    total = tuple(a + b for a, b in zip(total, beta))
-            assert ambient(FA.chi_weight(w)) == total
+            assert FA.chi_at_xP(w) == chi_coefficient(FA, w), word_str(w)
+
+
+CHI_CASES = [
+    *((kind, rank, p) for kind, ranks in [("A", range(1, 6)), ("B", range(1, 6)),
+                                          ("C", range(1, 6)), ("D", range(3, 6))]
+      for rank in ranks for p in range(1, rank + 1)),
+    *(("G2", 2, p) for p in (1, 2)), *(("F4", 4, p) for p in range(1, 5)),
+]
+
+
+@pytest.mark.parametrize("kind,rank,p", CHI_CASES)
+def test_chi_table_is_the_root_sum_coefficient(kind, rank, p):
+    # the orbit-point table against the definition, on every class
+    FA = F(kind, rank, p)
+    for w in FA.basis:
+        value = FA.chi_at_xP(w)
+        assert type(value) is int
+        assert value == chi_coefficient(FA, w), word_str(w)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_div_exact(a, b):
+    # long division by b, whose constant term is 1; the remainder must vanish
+    a, q = list(a), [0] * (len(a) - len(b) + 1)
+    for k in range(len(q)):
+        q[k] = c = a[k]
+        for j, y in enumerate(b):
+            a[k + j] -= c * y
+    assert not any(a), "inexact division"
+    return q
+
+
+@pytest.mark.parametrize("kind,rank,p", CHI_CASES)
+def test_graded_counts_are_the_root_height_product(kind, rank, p):
+    # Macdonald: sum_c N_c t^c is the product over the positive roots beta
+    # outside the Levi of (1 - t^(ht beta + 1)) / (1 - t^(ht beta))
+    R = build_root_system(kind, rank)
+    num, den = [1], [1]
+    for a in R.root_alpha:
+        if a[p - 1]:
+            h = sum(a)
+            num = _poly_mul(num, [1] + [0] * h + [-1])
+            den = _poly_mul(den, [1] + [0] * (h - 1) + [-1])
+    assert tuple(_poly_div_exact(num, den)) == graded_counts(R, p)
+
+
+COMINUSCULE_CASES = [
+    (kind, rank, p) for kind, ranks in [("A", range(1, 6)), ("B", range(2, 5)),
+                                        ("C", range(2, 5)), ("D", range(4, 6))]
+    for rank in ranks for p in range(1, rank + 1)
+    if build_root_system(kind, rank).root_alpha[-1][p - 1] == 1
+]
+
+
+def test_the_cominuscule_cases_are_the_27_parabolics():
+    assert len(COMINUSCULE_CASES) == 27
+    assert ("C", 4, 4) in COMINUSCULE_CASES and ("D", 5, 4) in COMINUSCULE_CASES
+    assert ("B", 3, 3) not in COMINUSCULE_CASES
+
+
+@pytest.mark.parametrize("kind,rank,p", COMINUSCULE_CASES)
+def test_theta_vanishes_on_every_cominuscule_nonzero_product(kind, rank, p):
+    # on a cominuscule G/P the Belkale-Kumar product is the cup product
+    # (Belkale-Kumar 2006), so every nonzero point product has theta = 0
+    tuples = list(point_product_tuples(F(kind, rank, p), 3, "nonzero"))
+    assert tuples
+    assert all(pt.theta == 0 for pt in tuples)
+
+
+@pytest.mark.parametrize("kind,rank,p,moving,total", [
+    ("C", 3, 1, 3, 21), ("B", 3, 3, 9, 37), ("D", 4, 2, 195, 381),
+])
+def test_non_cominuscule_nonzero_products_with_theta_pinned(kind, rank, p, moving, total):
+    # the positive control's other side: these parabolics are not cominuscule
+    tuples = list(point_product_tuples(F(kind, rank, p), 3, "nonzero"))
+    assert (sum(pt.theta != 0 for pt in tuples), len(tuples)) == (moving, total)
+
+
+def test_chi_at_xP_rejects_a_class_outside_the_basis():
+    FA = F("C", 3, 2)
+    with pytest.raises(UsageError, match="not a minimal coset representative"):
+        FA.chi_at_xP(word_to_element(FA.root_system, "1"))  # s_1 lies in the Levi
 
 
 def test_theta_trivial_tuples():
@@ -409,14 +495,21 @@ def test_cup_product_rejects_foreign_elements():
         FA.cup_product(identity(R3), identity(R3))
 
 
-def test_non_integral_theta_is_a_verification_error(monkeypatch):
-    # a fresh variety: a cached one already holds its per-class theta scalars;
-    # omega_1 = alpha_1 + alpha_2 / 2 in C2 has a half alpha_2-coefficient
-    FA = FlagVariety(build_root_system("C", 2), 2)
-    half = Weight(FA.root_system, (1, 0))
-    monkeypatch.setattr(FlagVariety, "chi_weight", lambda self, w: half)
-    with pytest.raises(VerificationError, match=r"chi_w\(x_P\) is not an integer"):
-        FA.theta((FA.basis[-1],))
+def test_non_integral_theta_is_a_verification_error():
+    # a fresh root system whose weight Gram matrix is not a multiple of the
+    # form: at s_2, 2 (rho, omega_2 - s_2 omega_2) / (alpha_2, alpha_2) is 4 / 12
+    R = dataclasses.replace(build_root_system("C", 2), weight_gram=((1, 0), (0, 2)))
+    with pytest.raises(VerificationError,
+                       match=r"^C2/P2: chi_w\(x_P\) is not an integer at 2$"):
+        FlagVariety(R, 2)
+
+
+def test_chi_table_disagreeing_with_its_definition_is_a_verification_error(monkeypatch):
+    # every outside root kept positive: the definition reads chi_e(x_P) at s_2
+    monkeypatch.setattr(schubert, "_is_positive", lambda heights, root_fw: True)
+    with pytest.raises(VerificationError,
+                       match=r"^C2/P2: chi definitions disagree at 2$"):
+        FlagVariety(build_root_system("C", 2), 2)
 
 
 def test_inexact_integral_is_a_verification_error():
@@ -527,13 +620,8 @@ def reference_integral(FA, tables, ws):
 
 
 def reference_theta(FA, ws):
-    """chi_1 minus the slots' chi weights, evaluated at x_P."""
-    s = FA.chi_weight(FA.point_element())
-    for w in ws:
-        s = s - FA.chi_weight(w)
-    val = fw_to_alpha(FA.root_system, s.coords)[FA.parabolic.excluded - 1]
-    assert val.denominator == 1
-    return int(val)
+    """chi_1 minus the slots' chi, each the alpha_P-coefficient of its root sum."""
+    return chi_coefficient(FA, FA.point_element()) - sum(chi_coefficient(FA, w) for w in ws)
 
 
 @pytest.mark.parametrize("kind,rank,p", [("G2", 2, 1), ("B", 3, 1), ("C", 3, 2)])

@@ -50,8 +50,10 @@ def _function(module, name):
     pytest.param("schubert", "FlagVariety._localization", id="_localization"),
     pytest.param("schubert", "FlagVariety.covers", id="covers"),
     pytest.param("schubert", "FlagVariety.theta", id="theta"),
-    # intersection numbers are one int division, chi_w(x_P) one more
+    # intersection numbers are one int division, and the chi_w(x_P) table one
+    # more per class, built with the variety and read by chi_at_xP
     pytest.param("schubert", "FlagVariety.integral_billey", id="integral_billey"),
+    pytest.param("schubert", "FlagVariety.__init__", id="chi_table"),
     pytest.param("schubert", "FlagVariety.chi_at_xP", id="chi_at_xP"),
     # index sets, theta numbers and character differences of IG(k, 2r)
     *(pytest.param("isogr", fn, id=f"isogr.{fn}")
